@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, ParseError, UsageError
-from .keys import Covariate, StratumKey
+from .keys import Covariate, MarkovKey, PointEffectKey, StratumKey
 from .tables import MeanTable
 
 _Z_COL = re.compile(r"^z(\d+)$")
@@ -37,8 +37,30 @@ class ObservationRecord:
     outcome: float
 
 
+@dataclass(frozen=True)
+class PooledPeriod:
+    """One period's pooled arms as arrays over the records.
+
+    Period 1 keeps its arms z1; a later period t pools records on the
+    signature (z[t-1], x[t-1], z[t]). `keys` holds the distinct signatures
+    in sorted order, `codes[i]` is record i's index into them, and
+    `members[bounds[g]:bounds[g + 1]]` lists signature g's records in
+    record order.
+    """
+
+    keys: tuple[PointEffectKey, ...]
+    codes: np.ndarray
+    members: np.ndarray
+    bounds: np.ndarray
+
+    def records(self, g: int) -> np.ndarray:
+        return self.members[self.bounds[g] : self.bounds[g + 1]]
+
+
 class Dataset:
     """Immutable record collection indexed by a history-prefix trie.
+
+    Pooled-history fits use the per-period signatures in `pooled` instead.
 
     Attributes
     ----------
@@ -82,6 +104,7 @@ class Dataset:
         self.covariate_width = width
         self.n_records = n
         self._table: MeanTable | None = None
+        self._pooled: tuple[PooledPeriod, ...] | None = None
         self._records: tuple[ObservationRecord, ...] | None = None
 
     # -- derived views --------------------------------------------------
@@ -92,6 +115,38 @@ class Dataset:
         if self._table is None:
             self._table = MeanTable.from_arrays(self.z, self.x, self.y)
         return self._table
+
+    @property
+    def pooled(self) -> tuple[PooledPeriod, ...]:
+        """Pooled arms of periods 1..T, without the trie (built once)."""
+        if self._pooled is None:
+            self._pooled = tuple(
+                self._pooled_period(t) for t in range(1, self.horizon + 1)
+            )
+        return self._pooled
+
+    def _pooled_period(self, t: int) -> PooledPeriod:
+        if t == 1:
+            sig = self.z[:, :1]
+        else:
+            sig = np.column_stack(
+                [self.z[:, t - 2], self.x[:, t - 2, :], self.z[:, t - 1]]
+            )
+        # A stable lexsort sorts the signatures and keeps record order
+        # within each, many times faster than np.unique(axis=0).
+        members = np.lexsort(sig.T[::-1])
+        ordered = sig[members]
+        new = np.ones(self.n_records, dtype=bool)
+        new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+        codes = np.empty(self.n_records, dtype=np.int64)
+        codes[members] = np.cumsum(new) - 1
+        bounds = np.append(np.flatnonzero(new), self.n_records)
+        rows = ordered[new].tolist()
+        if t == 1:
+            keys = tuple(StratumKey((r[0],), ()) for r in rows)
+        else:
+            keys = tuple(MarkovKey(t, r[0], tuple(r[1:-1]), r[-1]) for r in rows)
+        return PooledPeriod(keys, codes, members, bounds)
 
     @property
     def records(self) -> tuple[ObservationRecord, ...]:
@@ -118,13 +173,6 @@ class Dataset:
         if not 1 <= t <= self.horizon:
             raise UsageError(f"period {t} outside 1..{self.horizon}")
         return tuple(sorted(int(v) for v in np.unique(self.z[:, t - 1])))
-
-    def covariate_levels(self, t: int) -> tuple[Covariate, ...]:
-        """Observed covariate vectors at period t (1-based), sorted."""
-        if not 1 <= t <= self.horizon - 1:
-            raise UsageError(f"covariate period {t} outside 1..{self.horizon - 1}")
-        vecs = {tuple(int(v) for v in row) for row in self.x[:, t - 1]}
-        return tuple(sorted(vecs))
 
     def history_key(self, i: int) -> StratumKey:
         """Full history of record i as a key."""

@@ -238,6 +238,10 @@ def fit_net_effects(
     rank = int(np.sum(S > tol))
     k = spec.size
     if rank < k:
+        if Vt.shape[0] < k:
+            # Fewer rows than parameters: the reduced SVD drops part of
+            # the null space, the full one (U is only m x m) keeps it.
+            Vt = np.linalg.svd(A)[2]
         null_space = Vt[rank:]
         names = spec.param_names
         raise IdentifiabilityError(

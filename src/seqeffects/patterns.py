@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import CoverageError, ParseError, PatternError
+from .errors import CoverageError, EstimabilityError, ParseError, PatternError
 from .exprlang import (
     CompiledExpr,
     CovariateView,
@@ -83,15 +83,18 @@ class PatternSpec:
         env = _feature_env(key, horizon)
         row = np.zeros(self.size)
         matched = not self.groups
-        for i, group in enumerate(self.groups):
-            if group.predicate.eval_predicate(env):
-                row[i] = 1.0
-                matched = True
-                break
+        try:
+            for i, group in enumerate(self.groups):
+                if group.predicate.eval_predicate(env):
+                    row[i] = 1.0
+                    matched = True
+                    break
+            for j, term in enumerate(self.terms):
+                row[len(self.groups) + j] = term.expression.eval_number(env)
+        except PatternError as exc:
+            raise PatternError(f"at {key.label()}: {exc}") from None
         if not matched and not self.terms:
             raise CoverageError(f"no pattern group matches {key.label()}")
-        for j, term in enumerate(self.terms):
-            row[len(self.groups) + j] = term.expression.eval_number(env)
         return row
 
     def to_text(self) -> str:
@@ -204,7 +207,7 @@ class ConstraintSystem:
     horizon: int
     rows: list[ConstraintRow]
     dropped: list[ConstraintRow]
-    skipped: list[tuple[StratumKey, str]]
+    skipped: list[tuple[PointEffectKey, str]]
     markov: bool
 
     @property
@@ -227,12 +230,18 @@ def build_constraints(
     """
     targets, skipped = point_effect_targets(d, markov=markov)
     horizon = d.horizon
-    cache: dict[StratumKey, np.ndarray] = {}
+    cache: dict[PointEffectKey, np.ndarray] = {}
 
-    def feature(key: StratumKey) -> np.ndarray:
+    def feature(key: PointEffectKey) -> np.ndarray:
         row = cache.get(key)
         if row is None:
-            row = cache[key] = spec.feature_row(key, horizon)
+            try:
+                row = cache[key] = spec.feature_row(key, horizon)
+            except CoverageError:
+                # Only downstream loads ask for arms that are not targets.
+                if key not in {k for k, _ in skipped}:
+                    raise
+                raise _unidentified(key, skipped) from None
         return row
 
     if markov:
@@ -241,7 +250,8 @@ def build_constraints(
     dropped: list[ConstraintRow] = []
     for target in targets:
         if markov:
-            coeff = _markov_coefficients(target, spec, horizon, side_sums)
+            key = target.key
+            coeff = feature(key) + side_sums[key] - side_sums[key.sibling(0)]
         else:
             coeff = _full_coefficients(target, d, feature, spec.size)
         variance = target.variance(variance_mode)
@@ -282,47 +292,42 @@ def _full_coefficients(target: PointEffectTarget, d, feature, k: int) -> np.ndar
     )
 
 
-def _markov_side_sums(d: Dataset, feature, k: int):
-    """Mean downstream feature load per pooled arm, off the leaf table.
+def _unidentified(key: PointEffectKey, skipped) -> EstimabilityError:
+    labels = [k.label() for k, _ in skipped]
+    more = f" and {len(labels) - 5} more" if len(labels) > 5 else ""
+    return EstimabilityError(
+        f"the net effect at {key.label()} is not identified: its control arm "
+        "is unobserved and no pattern group pools it with identified targets, "
+        "yet upstream targets need it as a downstream load; arms without a "
+        f"control: {'; '.join(labels[:5])}{more}"
+    )
 
-    For every full trajectory, the load past time t is the sum of feature
-    rows at its own active-arm prefixes with s > t; pooled arms average
-    these over their member records, which is a mass-weighted average
-    over matching leaves.
+
+def _markov_side_sums(d: Dataset, feature, k: int) -> dict:
+    """Mean downstream feature load of every pooled arm, off the records.
+
+    A record's load past period t is the sum of the feature rows of its
+    active pooled arms at periods s > t; a pooled arm averages the loads
+    of its member records. One backward pass over the periods builds
+    them all, evaluating the pattern once per active signature.
     """
-    table = d.table
-    horizon = d.horizon
-    sums: dict[object, np.ndarray] = {}
-    masses: dict[object, float] = {}
-    for leaf_key, leaf in table.level(2 * horizon - 1):
-        zs = leaf_key.treatments
-        xs = leaf_key.covariates
-        suffix = np.zeros((horizon + 1, k))
-        for s in range(horizon, 0, -1):
-            row = suffix[s]
-            if zs[s - 1] > 0:
-                row = row + feature(StratumKey(zs[:s], xs[: s - 1]))
-            suffix[s - 1] = row
-        for t in range(1, horizon + 1):
-            if t == 1:
-                sig: object = StratumKey((zs[0],), ())
-            else:
-                sig = MarkovKey(t, zs[t - 2], xs[t - 2], zs[t - 1])
-            if sig in sums:
-                sums[sig] = sums[sig] + leaf.mass * suffix[t]
-                masses[sig] += leaf.mass
-            else:
-                sums[sig] = leaf.mass * suffix[t]
-                masses[sig] = leaf.mass
-    return {sig: sums[sig] / masses[sig] for sig in sums}
-
-
-def _markov_coefficients(
-    target: PointEffectTarget, spec: PatternSpec, horizon: int, side_sums
-) -> np.ndarray:
-    key = target.key
-    control = key.sibling(0)
-    return spec.feature_row(key, horizon) + side_sums[key] - side_sums[control]
+    load = np.zeros((d.n_records, k))
+    zero = np.zeros(k)
+    sums: dict = {}
+    periods = d.pooled
+    for t in range(len(periods), 0, -1):
+        period = periods[t - 1]
+        n_sig = len(period.keys)
+        total = np.column_stack(
+            [np.bincount(period.codes, load[:, j], n_sig) for j in range(k)]
+        )
+        sums.update(zip(period.keys, total / np.diff(period.bounds)[:, None]))
+        if t > 1:
+            rows = np.array(
+                [feature(key) if key.arm() > 0 else zero for key in period.keys]
+            )
+            load = load + rows[period.codes]
+    return sums
 
 
 def saturated_pattern(d: Dataset, markov: bool = False) -> PatternSpec:

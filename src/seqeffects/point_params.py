@@ -70,26 +70,6 @@ def point_effect_treatment(table: MeanTable, key: StratumKey) -> float:
     return arm.mean - control.mean
 
 
-def point_effect_covariate(table: MeanTable, key: StratumKey) -> float:
-    """Covariate-vector mean minus zero-vector mean at the same stratum."""
-    if key.ends_with_treatment or key.depth == 0:
-        raise EstimabilityError(f"{key.label()} does not end with a covariate")
-    vec = key.covariates[-1]
-    if all(v == 0 for v in vec):
-        raise EstimabilityError("the zero covariate vector is the reference level")
-    node = table.node(key)
-    if node is None:
-        raise EstimabilityError(f"stratum {key.label()} is empty")
-    parent = key.parent_stratum()
-    zero = (0,) * len(vec)
-    ref = table.node(parent.with_covariate(zero))
-    if ref is None:
-        raise EstimabilityError(
-            f"reference covariate stratum of {parent.label()} is empty"
-        )
-    return node.mean - ref.mean
-
-
 def extract_point_params(table: MeanTable) -> PointParams:
     """Sweep every stratum and collect all estimable point effects.
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import EstimabilityError, UsageError
-from .keys import MarkovKey, PointEffectKey, StratumKey
+from .keys import PointEffectKey, StratumKey
 
 log = logging.getLogger(__name__)
 
@@ -152,8 +152,6 @@ class PointEffectTarget:
     time: int
     arm_values: np.ndarray
     control_values: np.ndarray
-    arm_indices: np.ndarray
-    control_indices: np.ndarray
 
     @property
     def arm_count(self) -> int:
@@ -191,7 +189,6 @@ def point_effect_targets(
 
 def _full_targets(d: Dataset):
     table = d.table
-    order = table.order
     y_sorted = table.y_sorted
     targets: list[PointEffectTarget] = []
     skipped: list[tuple[PointEffectKey, str]] = []
@@ -212,8 +209,6 @@ def _full_targets(d: Dataset):
                         t,
                         y_sorted[anode.lo : anode.hi],
                         y_sorted[control.lo : control.hi],
-                        order[anode.lo : anode.hi],
-                        order[control.lo : control.hi],
                     )
                 )
     return targets, skipped
@@ -222,60 +217,18 @@ def _full_targets(d: Dataset):
 def _markov_targets(d: Dataset):
     targets: list[PointEffectTarget] = []
     skipped: list[tuple[PointEffectKey, str]] = []
-    # Period 1 has no previous period to condition on; it keeps its full
-    # (here: whole-sample) stratum.
-    full_t1, skipped_t1 = _full_targets_at_time_one(d)
-    targets.extend(full_t1)
-    skipped.extend(skipped_t1)
-    for t in range(2, d.horizon + 1):
-        zprev = d.z[:, t - 2]
-        xprev = d.x[:, t - 2, :] if d.covariate_width else np.zeros((d.n_records, 0), dtype=np.int64)
-        zt = d.z[:, t - 1]
-        stacked = np.column_stack([zprev, xprev])
-        groups, inverse = np.unique(stacked, axis=0, return_inverse=True)
-        for g in range(groups.shape[0]):
-            mask = inverse == g
-            prev_z = int(groups[g, 0])
-            prev_x = tuple(int(v) for v in groups[g, 1:])
-            arm_codes = sorted(int(v) for v in np.unique(zt[mask]))
-            control_idx = np.flatnonzero(mask & (zt == 0))
-            for z in arm_codes:
-                if z == 0:
-                    continue
-                key = MarkovKey(t, prev_z, prev_x, z)
-                if control_idx.size == 0:
-                    skipped.append((key, "control arm unobserved"))
-                    continue
-                arm_idx = np.flatnonzero(mask & (zt == z))
-                targets.append(
-                    PointEffectTarget(
-                        key, t, d.y[arm_idx], d.y[control_idx], arm_idx, control_idx
-                    )
+    for t, period in enumerate(d.pooled, start=1):
+        index = {key: g for g, key in enumerate(period.keys)}
+        for g, key in enumerate(period.keys):
+            if key.arm() == 0:
+                continue
+            control = index.get(key.sibling(0))
+            if control is None:
+                skipped.append((key, "control arm unobserved"))
+                continue
+            targets.append(
+                PointEffectTarget(
+                    key, t, d.y[period.records(g)], d.y[period.records(control)]
                 )
-    return targets, skipped
-
-
-def _full_targets_at_time_one(d: Dataset):
-    table = d.table
-    targets: list[PointEffectTarget] = []
-    skipped: list[tuple[PointEffectKey, str]] = []
-    root = table.root
-    control = root.children.get(0)
-    for z, anode in sorted(root.children.items()):
-        if z == 0:
-            continue
-        akey = StratumKey((z,), ())
-        if control is None:
-            skipped.append((akey, "control arm unobserved"))
-            continue
-        targets.append(
-            PointEffectTarget(
-                akey,
-                1,
-                table.y_sorted[anode.lo : anode.hi],
-                table.y_sorted[control.lo : control.hi],
-                table.order[anode.lo : anode.hi],
-                table.order[control.lo : control.hi],
             )
-        )
     return targets, skipped

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from seqeffects import make_reference_fixture, save_dataset
+from seqeffects import make_markov_dgp, make_reference_fixture, save_dataset, simulate
 from seqeffects.cli import main
 
 THREE_GROUPS = """\
@@ -201,6 +201,19 @@ def test_suggest_pattern_defaults_to_one_group_per_target(tmp_path, ref_csv):
     blob = json.loads(out.read_text())
     components = {frozenset(c) for c in blob["discovery"]["components"]}
     assert frozenset(["g2", "g3", "g4"]) in components
+
+
+def test_suggest_pattern_names_unidentified_strata(tmp_path, capsys):
+    # At T=8 many active arms have no control; the saturated default
+    # pattern cannot pool them, so their net effects are unidentified.
+    path = tmp_path / "markov8.csv"
+    save_dataset(simulate(make_markov_dgp(8), 4000, 3), path)
+    code = main(["suggest-pattern", "--data", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "is not identified" in err
+    assert "control arm is unobserved" in err
+    assert "no pattern group matches" not in err
 
 
 def test_usage_errors_exit_one():

@@ -13,11 +13,14 @@ from seqeffects import (
     expected_target_covariance,
     fit_net_effects,
     load_dataset,
+    make_markov_dgp,
     net_effect_null_test,
     parse_pattern,
+    point_effect_targets,
     pooled_outcome_variance,
     resampling_diagnostic,
     saturated_pattern,
+    simulate,
     standard_mean_equality_test,
 )
 
@@ -90,6 +93,29 @@ def test_unmatched_group_is_unidentified(d16):
     with pytest.raises(IdentifiabilityError, match="never") as exc:
         fit_net_effects(spec, d16, VarianceMode.known(1.0))
     assert exc.value.null_space.shape == (1, 2)
+
+
+def test_null_space_is_complete_with_fewer_targets_than_parameters():
+    d = load_dataset(io.StringIO("unit_id,z1,y\na,0,1\nb,0,2\nc,1,3\nd,1,5\n"))
+    spec = parse_pattern("term a: z[t]\nterm b: 2*z[t]\nterm c: t\n")
+    with pytest.raises(IdentifiabilityError) as exc:
+        fit_net_effects(spec, d, VarianceMode.known(1.0))
+    null = exc.value.null_space
+    assert null.shape == (2, 3)
+    np.testing.assert_allclose(null @ null.T, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(null @ [1.0, 2.0, 1.0], 0.0, atol=1e-12)
+    directions = str(exc.value).split("unidentified directions span ")[1].split("; ")
+    assert len(directions) == 2
+    assert all(any(name in v for name in "abc") for v in directions)
+
+
+def test_saturated_fit_names_strata_without_a_control():
+    d = simulate(make_markov_dgp(6), 2000, 3)
+    skipped = {k.label() for k, _ in point_effect_targets(d)[1]}
+    with pytest.raises(EstimabilityError, match="is not identified") as exc:
+        fit_net_effects(saturated_pattern(d), d, VarianceMode.known(1.0))
+    named = str(exc.value).split("the net effect at ")[1].split(" is not identified")[0]
+    assert named in skipped
 
 
 def test_no_usable_rows_raises():
