@@ -57,7 +57,6 @@ from .patterns import (
 from .point_params import (
     PointParams,
     extract_point_params,
-    point_effect_treatment,
     reconstruct_history_mean,
 )
 from .simulator import (
@@ -78,13 +77,9 @@ from .simulator import (
     simulate,
 )
 from .strata import (
-    Proportion,
-    StratumStats,
     VarianceMode,
     grand_mean,
     point_effect_targets,
-    proportion,
-    stratum_mean,
     stratum_mean_variance,
 )
 from .tables import MeanTable
@@ -116,11 +111,9 @@ __all__ = [
     "PointEffectEstimate",
     "PointEffectKey",
     "PointParams",
-    "Proportion",
     "ResamplingReport",
     "SeqEffectsError",
     "StratumKey",
-    "StratumStats",
     "TestResult",
     "UsageError",
     "VarianceMode",
@@ -151,17 +144,14 @@ __all__ = [
     "parse_dgp",
     "parse_pattern",
     "point_effect_targets",
-    "point_effect_treatment",
     "pooled_outcome_variance",
     "population_table",
-    "proportion",
     "reconstruct_history_mean",
     "resampling_diagnostic",
     "saturated_pattern",
     "save_dataset",
     "simulate",
     "standard_mean_equality_test",
-    "stratum_mean",
     "stratum_mean_variance",
     "stratum_members",
     "verify_decomposition",

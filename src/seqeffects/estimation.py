@@ -21,7 +21,12 @@ import numpy as np
 from scipy.stats import chi2
 
 from .dataset import Dataset
-from .errors import DiagnosticError, EstimabilityError, IdentifiabilityError
+from .errors import (
+    CoverageError,
+    DiagnosticError,
+    EstimabilityError,
+    IdentifiabilityError,
+)
 from .exprlang import compile_expr
 from .keys import PointEffectKey, StratumKey
 from .patterns import ConstraintSystem, PatternGroup, PatternSpec, build_constraints
@@ -79,8 +84,8 @@ def estimate_point_effects(
 class FittedNetEffect:
     key: PointEffectKey
     time: int
-    value: float
-    se: float
+    value: float | None
+    se: float | None
     observed_estimate: float | None
     note: str | None = None
 
@@ -124,7 +129,8 @@ class NetEffectFit:
 
         Pooling pays off here: points skipped as contrasts (no control
         arm) still get a fitted value, since only the feature row is
-        needed.
+        needed. A skipped point that no pattern group covers gets a null
+        value and standard error, and its note says so.
         """
         spec = self.system.pattern
         horizon = self.system.horizon
@@ -134,7 +140,11 @@ class NetEffectFit:
         for row in self.system.dropped:
             out.append(self._fitted_at(row.key, row.time, spec, horizon, row.estimate, row.note))
         for key, reason in self.system.skipped:
-            out.append(self._fitted_at(key, key.time, spec, horizon, None, reason))
+            try:
+                out.append(self._fitted_at(key, key.time, spec, horizon, None, reason))
+            except CoverageError:
+                note = f"{reason}; no pattern group covers it"
+                out.append(FittedNetEffect(key, key.time, None, None, None, note))
         out.sort(key=lambda f: (f.time, f.key.label()))
         return out
 

@@ -145,7 +145,3 @@ class MarkovKey:
 
 PointEffectKey = StratumKey | MarkovKey
 
-
-def key_time(key: PointEffectKey) -> int:
-    """Treatment period a point-effect key refers to."""
-    return key.time if isinstance(key, MarkovKey) else len(key.treatments)

@@ -6,6 +6,10 @@ stratum-arm mean with the mass-weighted contributions of all *downstream*
 active-arm net effects removed. Computed backward from the last period,
 where the net effect is just the arm contrast of stratum means.
 
+`downstream_weighted_sum` is the one kernel for mass-weighted downstream
+loads: the recursion runs it on net effects, and full-history pattern
+constraints run it on feature vectors.
+
 The point effect (plain arm contrast of stratum means at any period)
 decomposes as its own net effect plus the difference between the two arms'
 downstream net-effect loads; `verify_decomposition` checks that identity
@@ -61,12 +65,52 @@ def missing_controls(table: MeanTable) -> list[StratumKey]:
     return out
 
 
+def downstream_weighted_sum(table: MeanTable, value_fn, zero=0.0):
+    """The downstream-load kernel: returns load(key, node=None) for any arm.
+
+    The load of a treatment-ended stratum is the sum of value_fn over the
+    active arms below it (every later z_s > 0), each weighted by its share
+    of the stratum's mass. One backward recursion builds it,
+
+        load(a) = sum over (x_t, z_{t+1}) of mass(g) * (load(g) + value(g)) / mass(a)
+
+    with value(g) = value_fn(key of g) for active g and nothing for a
+    control. Loads are memoized, so each arm is visited at most once per
+    kernel, and value_fn runs only at arms below an arm whose load was
+    asked for. value_fn may return floats or numpy vectors; pass a
+    matching `zero`, which is never modified.
+    """
+    memo: dict[TableNode, object] = {}
+
+    def load(key: StratumKey, node: TableNode | None = None):
+        if node is None:
+            node = table.require(key)
+        if not node.children:
+            return zero
+        out = memo.get(node)
+        if out is None:
+            acc = zero
+            for vec, xnode in node.children.items():
+                xkey = key.with_covariate(vec)
+                for z, gnode in xnode.children.items():
+                    gkey = xkey.with_treatment(z)
+                    g = load(gkey, gnode)
+                    if z > 0:
+                        g = g + value_fn(gkey)
+                    acc = acc + gnode.mass * g
+            out = memo[node] = acc / node.mass
+        return out
+
+    return load
+
+
 def compute_net_effects(table: MeanTable) -> NetEffectTable:
     """Run the backward recursion over a complete table.
 
     Every stratum holding an active arm must also hold its control arm;
     IncompletenessError lists every stratum that does not. Sums run over
-    the observed alphabet only.
+    the observed alphabet only. Periods run last to first, so the net
+    effects a load needs are in place before the kernel asks for them.
     """
     incomplete = missing_controls(table)
     if incomplete:
@@ -75,57 +119,19 @@ def compute_net_effects(table: MeanTable) -> NetEffectTable:
             + "; ".join(k.label() for k in incomplete[:20])
             + (f" and {len(incomplete) - 20} more strata" if len(incomplete) > 20 else "")
         )
-    horizon = table.horizon
-    net = NetEffectTable(horizon)
-    downstream: dict[int, float] = {}  # id(arm node) -> weighted future load
-    for t in range(horizon, 0, -1):
+    net = NetEffectTable(table.horizon)
+    load = downstream_weighted_sum(table, net.effects.__getitem__)
+    for t in range(table.horizon, 0, -1):
         for pkey, pnode in table.level(2 * (t - 1)):
-            arms = dict(sorted(pnode.children.items()))
-            if not arms:
-                continue
-            arm_keys = {z: pkey.with_treatment(z) for z in arms}
-            for z, anode in arms.items():
-                load = 0.0
-                if t < horizon:
-                    acc = 0.0
-                    for vec, xnode in anode.children.items():
-                        xkey = arm_keys[z].with_covariate(vec)
-                        for z2, gnode in xnode.children.items():
-                            g = downstream[id(gnode)]
-                            if z2 > 0:
-                                g += net.effects[xkey.with_treatment(z2)]
-                            acc += gnode.mass * g
-                    load = acc / anode.mass
-                downstream[id(anode)] = load
-                net.control_means[arm_keys[z]] = anode.derived_mean - load
-            active = [z for z in arms if z > 0]
-            if active:
-                base = net.control_means[arm_keys[0]]
-                for z in active:
-                    net.effects[arm_keys[z]] = net.control_means[arm_keys[z]] - base
+            for z, anode in sorted(pnode.children.items()):
+                akey = pkey.with_treatment(z)
+                mean = anode.derived_mean - load(akey, anode)
+                net.control_means[akey] = mean
+                if z == 0:
+                    base = mean
+                else:
+                    net.effects[akey] = mean - base
     return net
-
-
-def downstream_weighted_sum(table, node: TableNode, key: StratumKey, value_fn, zero=0.0):
-    """Mass-weighted sum of value_fn over active-arm descendants of an arm.
-
-    Walks every continuation (x_t, z_{t+1}, ..., z_s) below the given
-    treatment-ended stratum, adding value_fn(descendant key) times the
-    descendant's conditional mass for each active z_s. value_fn may return
-    floats or numpy vectors; pass a matching `zero`.
-    """
-    total = zero
-    stack: list[tuple[TableNode, StratumKey]] = [(node, key)]
-    while stack:
-        cur, cur_key = stack.pop()
-        for vec, xnode in cur.children.items():
-            xkey = cur_key.with_covariate(vec)
-            for z, gnode in xnode.children.items():
-                gkey = xkey.with_treatment(z)
-                if z > 0:
-                    total = total + value_fn(gkey) * (gnode.mass / node.mass)
-                stack.append((gnode, gkey))
-    return total
 
 
 def decompose_point_effect(
@@ -134,7 +140,9 @@ def decompose_point_effect(
     """Rebuild the point effect of an active arm from net-effect parts.
 
     Equals the arm's own net effect plus the arm-vs-control difference in
-    downstream net-effect load.
+    downstream net-effect load. Each load is read back from the table the
+    recursion left: the arm's leaf-derived mean minus its
+    control-continuation mean.
     """
     if not key.ends_with_treatment or key.arm() == 0:
         raise EstimabilityError(f"{key.label()} does not name an active arm")
@@ -145,13 +153,9 @@ def decompose_point_effect(
         raise IncompletenessError(
             f"both arms of {key.parent_stratum().label()} are needed"
         )
-    lookup = net.effects.__getitem__
-    own = net.effects[key]
-    return (
-        own
-        + downstream_weighted_sum(table, arm, key, lookup)
-        - downstream_weighted_sum(table, control, control_key, lookup)
-    )
+    arm_load = arm.derived_mean - net.control_means[key]
+    control_load = control.derived_mean - net.control_means[control_key]
+    return net.effects[key] + arm_load - control_load
 
 
 @dataclass
@@ -200,7 +204,8 @@ def verify_decomposition(table: MeanTable, tolerance: float = 1e-8) -> Decomposi
     """Contrast stored arm means against the net-effect decomposition.
 
     The direct side reads stored stratum means (overrides included), the
-    decomposition side re-aggregates from the leaves, so a planted
+    decomposition side reads the loads the recursion left in the
+    NetEffectTable, which it built from leaf-derived means, so a planted
     inconsistency in any internal mean shows up as a deviation.
     """
     net = compute_net_effects(table)

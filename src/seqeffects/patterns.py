@@ -36,9 +36,9 @@ from .exprlang import (
     TreatmentView,
     compile_expr,
 )
-from .keys import MarkovKey, PointEffectKey, StratumKey
+from .keys import MarkovKey, PointEffectKey
 from .net_effects import downstream_weighted_sum
-from .strata import PointEffectTarget, VarianceMode, point_effect_targets
+from .strata import VarianceMode, point_effect_targets
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _RESERVED = frozenset({"t", "T", "z", "x", "u", "group", "term", "when", "not", "and", "or"})
@@ -245,15 +245,14 @@ def build_constraints(
         return row
 
     if markov:
-        side_sums = _markov_side_sums(d, feature, spec.size)
+        load = _markov_side_sums(d, feature, spec.size).__getitem__
+    else:
+        load = downstream_weighted_sum(d.table, feature, np.zeros(spec.size))
     rows: list[ConstraintRow] = []
     dropped: list[ConstraintRow] = []
     for target in targets:
-        if markov:
-            key = target.key
-            coeff = feature(key) + side_sums[key] - side_sums[key.sibling(0)]
-        else:
-            coeff = _full_coefficients(target, d, feature, spec.size)
+        key = target.key
+        coeff = feature(key) + load(key) - load(key.sibling(0))
         variance = target.variance(variance_mode)
         weight = 0.0
         note = None
@@ -276,20 +275,6 @@ def build_constraints(
         )
         (rows if weight > 0.0 else dropped).append(row)
     return ConstraintSystem(spec, horizon, rows, dropped, skipped, markov)
-
-
-def _full_coefficients(target: PointEffectTarget, d, feature, k: int) -> np.ndarray:
-    table = d.table
-    key = target.key
-    arm = table.require(key)
-    control_key = key.sibling(0)
-    control = table.require(control_key)
-    zero = np.zeros(k)
-    return (
-        feature(key)
-        + downstream_weighted_sum(table, arm, key, feature, zero)
-        - downstream_weighted_sum(table, control, control_key, feature, zero)
-    )
 
 
 def _unidentified(key: PointEffectKey, skipped) -> EstimabilityError:

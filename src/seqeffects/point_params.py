@@ -53,23 +53,6 @@ class PointParams:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def point_effect_treatment(table: MeanTable, key: StratumKey) -> float:
-    """Arm mean minus control-arm mean for a treatment-ended key."""
-    if not key.ends_with_treatment or key.arm() == 0:
-        raise EstimabilityError(
-            f"{key.label()} does not name an active treatment arm"
-        )
-    arm = table.node(key)
-    if arm is None:
-        raise EstimabilityError(f"arm stratum {key.label()} is empty")
-    control = table.node(key.sibling(0))
-    if control is None:
-        raise EstimabilityError(
-            f"control arm of {key.parent_stratum().label()} is empty"
-        )
-    return arm.mean - control.mean
-
-
 def extract_point_params(table: MeanTable) -> PointParams:
     """Sweep every stratum and collect all estimable point effects.
 

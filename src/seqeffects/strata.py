@@ -1,11 +1,11 @@
-"""Stratum-level statistics: proportions, means, mean variances, targets.
+"""Stratum-level statistics: mean variances and point-effect targets.
 
-Proportions over a dataset are exact integer ratios. Mean variances come in
-two modes: a known outcome variance sigma^2 (divided by the stratum count)
-or the within-stratum estimate sum (y - mean)^2 / (n (n - 1)), which needs
-n >= 2. Target enumeration walks every conditioning stratum and pairs each
-active treatment arm with its control arm; the collapsed variant pools
-records over everything before the previous period.
+Mean variances come in two modes: a known outcome variance sigma^2
+(divided by the stratum count) or the within-stratum estimate
+sum (y - mean)^2 / (n (n - 1)), which needs n >= 2. Target enumeration
+walks every conditioning stratum and pairs each active treatment arm with
+its control arm; the collapsed variant pools records over everything
+before the previous period.
 """
 
 from __future__ import annotations
@@ -24,34 +24,6 @@ log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class Proportion:
-    """Exact ratio of refinement count to conditioning count."""
-
-    numerator: int
-    denominator: int
-
-    def __post_init__(self):
-        if self.denominator < 1:
-            raise UsageError("proportion denominator must be >= 1")
-        if not 0 <= self.numerator <= self.denominator:
-            raise UsageError("proportion numerator outside [0, denominator]")
-
-    @property
-    def value(self) -> float:
-        return self.numerator / self.denominator
-
-
-@dataclass(frozen=True)
-class StratumStats:
-    """Count, outcome mean, and variance of the mean for one stratum."""
-
-    key: StratumKey
-    count: int
-    mean: float
-    mean_variance: float
-
-
-@dataclass(frozen=True)
 class VarianceMode:
     """How var{stratum mean} is computed: known sigma^2 or estimated."""
 
@@ -61,8 +33,8 @@ class VarianceMode:
     def __post_init__(self):
         if self.kind not in ("known", "estimated"):
             raise UsageError(f"unknown variance mode {self.kind!r}")
-        if self.kind == "known" and not self.sigma2 > 0:
-            raise UsageError("known outcome variance must be positive")
+        if self.kind == "known" and not 0 < self.sigma2 < math.inf:
+            raise UsageError("known outcome variance must be positive and finite")
 
     @classmethod
     def known(cls, sigma2: float = 1.0) -> "VarianceMode":
@@ -92,18 +64,6 @@ class VarianceMode:
         return "estimated" if self.kind == "estimated" else f"known:{self.sigma2!r}"
 
 
-def proportion(d: Dataset, a: StratumKey, b: StratumKey) -> Proportion:
-    """pr(a | b) with a refining b; exact counts, converted to float once."""
-    asyms, bsyms = a.symbols(), b.symbols()
-    if asyms[: len(bsyms)] != bsyms:
-        raise UsageError(f"{a.label()} does not refine {b.label()}")
-    bnode = d.table.node(b)
-    if bnode is None:
-        raise EstimabilityError(f"conditioning stratum {b.label()} is empty")
-    anode = d.table.node(a)
-    return Proportion(0 if anode is None else anode.mass, bnode.mass)
-
-
 def _mean_variance(values: np.ndarray, mode: VarianceMode) -> float:
     n = values.size
     if mode.kind == "known":
@@ -114,14 +74,6 @@ def _mean_variance(values: np.ndarray, mode: VarianceMode) -> float:
         )
     mean = float(values.mean())
     return float(((values - mean) ** 2).sum()) / (n * (n - 1))
-
-
-def stratum_mean(d: Dataset, key: StratumKey) -> StratumStats:
-    """Average outcome over one stratum; variance left unset (nan)."""
-    node = d.table.node(key)
-    if node is None:
-        raise EstimabilityError(f"stratum {key.label()} is empty")
-    return StratumStats(key, node.mass, node.mean, math.nan)
 
 
 def stratum_mean_variance(d: Dataset, key: StratumKey, mode: VarianceMode) -> float:

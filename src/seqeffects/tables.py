@@ -1,11 +1,11 @@
 """Stratum mean tables over the interleaved history trie.
 
 One structure serves both evaluation modes: an empirical table built from a
-dataset (node masses are integer counts, so proportions are exact integer
-ratios converted to float once) and an exact table built from an explicit
-joint law over full histories (masses are probabilities). Internal-node
-means are always the mass-weighted aggregate of the leaves below, which is
-what the recursive computations consume; `perturb_mean` can plant a stored
+dataset (node masses are integer record counts) and an exact table built
+from an explicit joint law over full histories (masses are probabilities).
+A stratum's share of its parent is the ratio of the two node masses.
+Internal-node means are always the mass-weighted aggregate of the leaves
+below, which is what the recursive computations consume; `perturb_mean` can plant a stored
 override on top for diagnostics, and plain reads report it.
 """
 
@@ -194,18 +194,6 @@ class MeanTable:
 
     def mean(self, key: StratumKey) -> float:
         return self.require(key).mean
-
-    def conditional(self, a: StratumKey, b: StratumKey) -> float:
-        """Proportion of stratum b falling in its refinement a."""
-        bsyms = b.symbols()
-        asyms = a.symbols()
-        if asyms[: len(bsyms)] != bsyms:
-            raise UsageError(f"{a.label()} does not refine {b.label()}")
-        bnode = self.require(b)
-        anode = self.node(a)
-        if anode is None:
-            return 0.0
-        return anode.mass / bnode.mass
 
     def levels(self) -> list[list[tuple[StratumKey, TableNode]]]:
         """All observed strata grouped by interleaved depth, root first."""

@@ -40,6 +40,27 @@ def random_complete_table(rng, horizon, covariate_width=1):
     return MeanTable.from_entries(horizon, width, entries)
 
 
+def downstream_walk(table, node, key, value_fn, zero=0.0):
+    """Reference downstream load: walk the whole subtree below one arm.
+
+    Adds value_fn(descendant key) times the descendant's share of the
+    arm's mass for every active arm below it, one continuation at a time.
+    This is the per-target walk the library's memoized kernel replaced.
+    """
+    total = zero
+    stack = [(node, key)]
+    while stack:
+        cur, cur_key = stack.pop()
+        for vec, xnode in cur.children.items():
+            xkey = cur_key.with_covariate(vec)
+            for z, gnode in xnode.children.items():
+                gkey = xkey.with_treatment(z)
+                if z > 0:
+                    total = total + value_fn(gkey) * (gnode.mass / node.mass)
+                stack.append((gnode, gkey))
+    return total
+
+
 def dataset_from_cells(cells):
     """Build a two-period dataset from {(z1, x1, z2): outcome list}."""
     z, x, y = [], [], []

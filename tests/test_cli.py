@@ -87,6 +87,29 @@ def test_estimate_rank_deficiency_exits_two(tmp_path, ref_csv):
     assert main(["estimate", "--data", ref_csv, "--pattern", pattern]) == 2
 
 
+def test_estimate_reports_an_uncovered_skipped_arm_as_null(tmp_path):
+    # every z1 is 1, so the period-1 arm has no control and no group covers it
+    rows = ["unit_id,z1,z2,x1_1,y"]
+    for i in range(16):
+        rows.append(f"u{i},1,{i % 2},{(i // 2) % 2},{10.0 + 3.0 * (i % 2) + 0.5 * ((i // 4) % 2)}")
+    data = write(tmp_path, "constant_z1.csv", "\n".join(rows) + "\n")
+    pattern = write(tmp_path, "late.txt", "group late: when t >= 2\n")
+    out = tmp_path / "fit.json"
+    assert main(["estimate", "--data", data, "--pattern", pattern, "--out", str(out)]) == 0
+    fitted = {f["key"]: f for f in json.loads(out.read_text())["fit"]["fitted_net_effects"]}
+    skipped = fitted["z1=1"]
+    assert skipped["value"] is None and skipped["se"] is None
+    assert skipped["note"] == "control arm unobserved; no pattern group covers it"
+    assert fitted["z1=1 x1=0 z2=1"]["value"] == pytest.approx(3.0)
+
+
+def test_estimate_non_finite_known_variance_exits_one(tmp_path, ref_csv, capsys):
+    pattern = write(tmp_path, "pat.txt", THREE_GROUPS)
+    args = ["estimate", "--data", ref_csv, "--pattern", pattern, "--variance-mode"]
+    assert main(args + ["known:inf"]) == 1
+    assert "positive and finite" in capsys.readouterr().err
+
+
 def test_bad_pattern_text_exits_one(tmp_path, ref_csv):
     pattern = write(tmp_path, "broken.txt", "group a when t == 1\n")
     assert main(["estimate", "--data", ref_csv, "--pattern", pattern]) == 1

@@ -1,7 +1,10 @@
 import io
+import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqeffects import (
     Dataset,
@@ -24,6 +27,34 @@ def test_roundtrip_through_csv(tmp_path, d16):
     np.testing.assert_allclose(
         [r.outcome for r in back.records], [r.outcome for r in d16.records]
     )
+
+
+@st.composite
+def datasets(draw):
+    horizon = draw(st.integers(1, 4))
+    width = draw(st.integers(1, 3)) if horizon > 1 else 0
+    n = draw(st.integers(1, 12))
+    codes = st.integers(0, 2**62)
+    z = draw(st.lists(st.lists(codes, min_size=horizon, max_size=horizon), min_size=n, max_size=n))
+    cells = (horizon - 1) * width
+    x = draw(st.lists(st.lists(codes, min_size=cells, max_size=cells), min_size=n, max_size=n))
+    y = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n))
+    id_chars = string.ascii_letters + string.digits + "_-.,;\"'"
+    ids = draw(st.lists(st.text(id_chars, min_size=1, max_size=6), min_size=n, max_size=n))
+    x = np.array(x, dtype=np.int64).reshape(n, horizon - 1, width)
+    return Dataset(np.array(z, dtype=np.int64), x, np.array(y), ids)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=datasets())
+def test_csv_roundtrip_is_bit_exact(tmp_path_factory, d):
+    path = tmp_path_factory.mktemp("roundtrip") / "d.csv"
+    save_dataset(d, path)
+    back = load_dataset(path)
+    assert back.unit_ids == d.unit_ids
+    assert back.z.shape == d.z.shape and np.array_equal(back.z, d.z)
+    assert back.x.shape == d.x.shape and np.array_equal(back.x, d.x)
+    assert back.y.tobytes() == d.y.tobytes()
 
 
 def test_load_from_string():

@@ -4,8 +4,11 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqeffects import (
+    Dataset,
     EstimabilityError,
     IdentifiabilityError,
     VarianceMode,
@@ -23,6 +26,7 @@ from seqeffects import (
     simulate,
     standard_mean_equality_test,
 )
+from helpers import complete_histories
 
 THREE_GROUPS = """\
 group first: when t == 1
@@ -36,6 +40,68 @@ def test_saturated_fit_reproduces_every_target(dref):
     assert fit.rank == 5
     np.testing.assert_allclose(fit.params, [30, 20, 20, 20, -20], atol=1e-9)
     assert np.abs(fit.residuals).max() < 1e-9
+
+
+def panel_from_histories(histories, counts, rng):
+    """Records for (z, x) histories, counts[i] of them with normal outcomes."""
+    z, x = [], []
+    for (zs, xs), count in zip(histories, counts):
+        z += [zs] * count
+        x += [xs] * count
+    n, horizon = len(z), len(histories[0][0])
+    x = np.array(x, dtype=np.int64).reshape(n, horizon - 1, -1 if horizon > 1 else 0)
+    y = rng.normal(50.0, 10.0, size=n)
+    return Dataset(np.array(z), x, y, [f"r{i}" for i in range(n)])
+
+
+@pytest.mark.parametrize("horizon", [2, 3])
+def test_saturated_fit_skips_an_arm_no_target_needs(horizon):
+    # z1 is constant, and z1=1 x1=1 has no z2=0 arm. Neither skipped arm
+    # sits below a target, so the fit needs no feature at either.
+    histories = [
+        h
+        for h in complete_histories(horizon, 1)
+        if h[0][0] == 1 and not (h[1][0] == (1,) and h[0][1] == 0)
+    ]
+    d = panel_from_histories(histories, [2] * len(histories), np.random.default_rng(4))
+    skipped = [k.label() for k, _ in point_effect_targets(d)[1]]
+    assert skipped == ["z1=1", "z1=1 x1=1 z2=1"]
+    fit = fit_net_effects(saturated_pattern(d), d, VarianceMode.known(1.0))
+    assert np.abs(fit.residuals).max() < 1e-9
+    fitted = {f["key"]: f for f in fit.to_dict()["fitted_net_effects"]}
+    for label in skipped:
+        assert fitted[label]["value"] is None
+        assert fitted[label]["note"].endswith("no pattern group covers it")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    horizon=st.integers(1, 3),
+    width=st.integers(1, 2),
+    drop=st.sampled_from([0.0, 0.2]),
+)
+def test_saturated_fit_reproduces_every_target_on_random_panels(seed, horizon, width, drop):
+    rng = np.random.default_rng(seed)
+    histories = complete_histories(horizon, width if horizon > 1 else 0)
+    counts = rng.integers(1, 4, size=len(histories)) * (rng.random(len(histories)) >= drop)
+    if not counts.any():
+        return
+    d = panel_from_histories(histories, counts, rng)
+    targets, skipped = point_effect_targets(d)
+    if not targets:
+        return
+    try:
+        fit = fit_net_effects(saturated_pattern(d), d, VarianceMode.known(1.0))
+    except EstimabilityError as exc:
+        # only a control-less arm below a target can stop a saturated fit
+        assert skipped and "is not identified" in str(exc)
+        return
+    estimates = np.array([t.estimate for t in targets])
+    assert fit.rank == len(targets)
+    scale = max(1.0, np.abs(estimates).max())
+    np.testing.assert_allclose(fit.fitted, estimates, rtol=0, atol=1e-9 * scale)
+    assert len(fit.to_dict()["fitted_net_effects"]) == len(targets) + len(skipped)
 
 
 def test_three_group_fit_on_the_reference_fixture(dref):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqeffects import (
     IncompletenessError,
@@ -8,10 +10,12 @@ from seqeffects import (
     compute_net_effects,
     decompose_point_effect,
     downstream_weighted_sum,
+    make_markov_dgp,
     missing_controls,
+    simulate,
     verify_decomposition,
 )
-from helpers import random_complete_table
+from helpers import downstream_walk, random_complete_table
 
 
 def test_small_fixture_effects(d16):
@@ -47,15 +51,12 @@ def test_single_period_effects_are_plain_contrasts():
 
 def test_downstream_weighted_sum_by_hand(d16):
     net = compute_net_effects(d16.table)
-    t = d16.table
-    arm_key = StratumKey((1,), ())
-    arm = t.require(arm_key)
-    total = downstream_weighted_sum(t, arm, arm_key, net.effects.__getitem__)
+    load = downstream_weighted_sum(d16.table, net.effects.__getitem__)
     # three of eight continue into z2=1 under each x cell: (3*20 + 3*(-10)) / 8
-    assert total == pytest.approx(3.75)
-    ctl_key = StratumKey((0,), ())
-    ctl_total = downstream_weighted_sum(t, t.require(ctl_key), ctl_key, net.effects.__getitem__)
-    assert ctl_total == pytest.approx(10.0)
+    assert load(StratumKey((1,), ())) == pytest.approx(3.75)
+    assert load(StratumKey((0,), ())) == pytest.approx(10.0)
+    # the last period has nothing downstream
+    assert load(StratumKey((1, 1), ((0,),))) == 0.0
 
 
 def test_decompose_matches_direct_contrast(d16):
@@ -71,11 +72,73 @@ def test_vector_valued_downstream_sum(d16):
     def two_copies(key):
         return np.array([net.effects[key], 2.0 * net.effects[key]])
 
-    arm_key = StratumKey((1,), ())
-    out = downstream_weighted_sum(
-        d16.table, d16.table.require(arm_key), arm_key, two_copies, zero=np.zeros(2)
-    )
-    np.testing.assert_allclose(out, [3.75, 7.5])
+    zero = np.zeros(2)
+    load = downstream_weighted_sum(d16.table, two_copies, zero)
+    np.testing.assert_allclose(load(StratumKey((1,), ())), [3.75, 7.5])
+    np.testing.assert_allclose(load(StratumKey((0,), ())), [10.0, 20.0])
+    assert not zero.any()
+
+
+def test_kernel_visits_only_what_a_load_needs(d16):
+    net = compute_net_effects(d16.table)
+    calls = []
+
+    def value(key):
+        calls.append(key.label())
+        return net.effects[key]
+
+    load = downstream_weighted_sum(d16.table, value)
+    load(StratumKey((0,), ()))
+    assert sorted(calls) == ["z1=0 x1=0 z2=1", "z1=0 x1=1 z2=1"]
+    load(StratumKey((0,), ()))
+    load(StratumKey((0, 1), ((1,),)))
+    assert len(calls) == 2
+
+
+def arm_values(table, rng, size):
+    """A fixed random value (scalar or size-vector) per active arm."""
+    out = {}
+    for depth in range(1, 2 * table.horizon, 2):
+        for key, _ in table.level(depth):
+            if key.arm() > 0:
+                out[key] = rng.uniform(-50.0, 50.0, size) if size else rng.uniform(-50.0, 50.0)
+    return out
+
+
+def assert_kernel_matches_walk(table, seed, size):
+    values = arm_values(table, np.random.default_rng(seed), size)
+    zero = np.zeros(size) if size else 0.0
+    load = downstream_weighted_sum(table, values.__getitem__, zero)
+    for depth in range(1, 2 * table.horizon, 2):
+        for key, node in table.level(depth):
+            want = downstream_walk(table, node, key, values.__getitem__, zero)
+            got = load(key, node)
+            scale = max(1.0, np.max(np.abs(want)))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    horizon=st.integers(1, 3),
+    width=st.integers(1, 2),
+    size=st.sampled_from([0, 1, 3]),
+)
+def test_kernel_matches_the_walk_on_complete_tables(seed, horizon, width, size):
+    table = random_complete_table(np.random.default_rng(seed), horizon, width)
+    assert_kernel_matches_walk(table, seed + 1, size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    horizon=st.integers(2, 5),
+    n=st.integers(10, 300),
+    size=st.sampled_from([0, 1, 3]),
+)
+def test_kernel_matches_the_walk_on_incomplete_panels(seed, horizon, n, size):
+    table = simulate(make_markov_dgp(horizon), n, seed).table
+    assert_kernel_matches_walk(table, seed + 1, size)
 
 
 def test_verify_clean_table(d16):

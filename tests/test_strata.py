@@ -1,26 +1,16 @@
-import math
-
 import pytest
 
 from seqeffects import (
     MarkovKey,
     StratumKey,
+    UsageError,
     VarianceMode,
     estimate_point_effects,
     grand_mean,
     point_effect_targets,
-    proportion,
-    stratum_mean,
     stratum_mean_variance,
     stratum_members,
 )
-
-
-def test_stratum_mean_counts_and_value(d16):
-    st = stratum_mean(d16, StratumKey((1,), ()))
-    assert st.count == 8
-    assert st.mean == pytest.approx(131.25)
-    assert math.isnan(st.mean_variance)
 
 
 def test_grand_mean(d16):
@@ -43,11 +33,10 @@ def test_variance_mode_parsing():
         VarianceMode.parse("bogus")
 
 
-def test_proportion_is_a_count_ratio(d16):
-    pr = proportion(d16, StratumKey((1, 1), ((0,),)), StratumKey((1,), ()))
-    assert pr.numerator == 3
-    assert pr.denominator == 8
-    assert pr.value == pytest.approx(0.375)
+@pytest.mark.parametrize("text", ["known:inf", "known:-inf", "known:nan", "known:0", "known:-1"])
+def test_known_variance_must_be_positive_and_finite(text):
+    with pytest.raises(UsageError, match="positive and finite"):
+        VarianceMode.parse(text)
 
 
 def test_stratum_members_are_record_indices(d16):

@@ -24,14 +24,6 @@ def test_level_enumeration_counts(d16):
     assert total == 16
 
 
-def test_conditional_is_a_mass_ratio(d16):
-    t = d16.table
-    a = StratumKey((1,), ()).with_covariate((0,)).with_treatment(1)
-    b = StratumKey((1,), ())
-    frac = t.conditional(a, b)
-    assert frac == pytest.approx(t.mass(a) / t.mass(b))
-
-
 def test_require_raises_on_absent_stratum(d16):
     with pytest.raises(EstimabilityError, match="z1=3"):
         d16.table.require(StratumKey((3,), ()))
