@@ -18,7 +18,6 @@ from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import chi2
 
 from .dataset import Dataset
 from .errors import (
@@ -132,24 +131,24 @@ class NetEffectFit:
         needed. A skipped point that no pattern group covers gets a null
         value and standard error, and its note says so.
         """
-        spec = self.system.pattern
-        horizon = self.system.horizon
         out = []
         for row in self.system.rows:
-            out.append(self._fitted_at(row.key, row.time, spec, horizon, row.estimate, None))
+            out.append(self._fitted_at(row.key, row.time, row.estimate, None))
         for row in self.system.dropped:
-            out.append(self._fitted_at(row.key, row.time, spec, horizon, row.estimate, row.note))
+            out.append(self._fitted_at(row.key, row.time, row.estimate, row.note))
         for key, reason in self.system.skipped:
             try:
-                out.append(self._fitted_at(key, key.time, spec, horizon, None, reason))
+                out.append(self._fitted_at(key, key.time, None, reason))
             except CoverageError:
                 note = f"{reason}; no pattern group covers it"
                 out.append(FittedNetEffect(key, key.time, None, None, None, note))
         out.sort(key=lambda f: (f.time, f.key.label()))
         return out
 
-    def _fitted_at(self, key, time, spec, horizon, observed, note) -> FittedNetEffect:
-        f = spec.feature_row(key, horizon)
+    def _fitted_at(self, key, time, observed, note) -> FittedNetEffect:
+        f = self.system.features.get(key)
+        if f is None:
+            f = self.system.pattern.feature_row(key, self.system.horizon)
         value = float(f @ self.params)
         se = float(math.sqrt(max(f @ self.covariance @ f, 0.0)))
         return FittedNetEffect(key, time, value, se, observed, note)
@@ -314,6 +313,11 @@ def net_effect_null_test(d: Dataset, variance_mode: VarianceMode) -> TestResult:
         m += 1
     if m == 0:
         raise EstimabilityError("no target has a usable variance")
+    # Imported here, not at module level: scipy.stats takes several times
+    # as long to load as the rest of the package, and no CLI command runs
+    # this test or standard_mean_equality_test.
+    from scipy.stats import chi2
+
     return TestResult(
         "net_effect_null",
         q,
@@ -334,46 +338,45 @@ def standard_mean_equality_test(
     sequential data it answers a different question, and the comparison
     against the net-effect test makes that visible.
     """
-    profiles: dict[tuple, dict[tuple, list[float]]] = {}
-    for rec in d.records:
-        p = profiles.setdefault(rec.covariates, {})
-        p.setdefault(rec.treatments, []).append(rec.outcome)
-    between = 0.0
-    df = 0
-    ssw = 0.0
-    n_cells = 0
-    n_total = 0
-    for cells in profiles.values():
-        if len(cells) < 2:
-            n_cells += len(cells)
-            n_total += sum(len(v) for v in cells.values())
-            for values in cells.values():
-                mean = sum(values) / len(values)
-                ssw += sum((v - mean) ** 2 for v in values)
-            continue
-        counts = {c: len(v) for c, v in cells.items()}
-        means = {c: sum(v) / counts[c] for c, v in cells.items()}
-        total = sum(counts.values())
-        pooled = sum(counts[c] * means[c] for c in cells) / total
-        between += sum(counts[c] * (means[c] - pooled) ** 2 for c in cells)
-        df += len(cells) - 1
-        n_cells += len(cells)
-        n_total += total
-        for c, values in cells.items():
-            ssw += sum((v - means[c]) ** 2 for v in values)
+    n = d.n_records
+    profile_rows = d.x.reshape(n, (d.horizon - 1) * d.covariate_width)
+    _, profile_of = np.unique(profile_rows, axis=0, return_inverse=True)
+    _, first, cell_of = np.unique(
+        np.column_stack([profile_rows, d.z]),
+        axis=0,
+        return_index=True,
+        return_inverse=True,
+    )
+    cell_of = cell_of.ravel()
+    n_cells = len(first)
+    counts = np.bincount(cell_of)
+    means = np.bincount(cell_of, d.y) / counts
+    ssw = float(np.sum((d.y - means[cell_of]) ** 2))
+    # Only profiles holding two or more treatment paths add to the
+    # contrast, one degree of freedom per path beyond the first.
+    cell_profile = profile_of.ravel()[first]
+    cells_in = np.bincount(cell_profile)
+    pooled = np.bincount(cell_profile, counts * means) / np.bincount(
+        cell_profile, counts
+    )
+    spread = counts * (means - pooled[cell_profile]) ** 2
+    between = float(np.sum(spread[cells_in[cell_profile] >= 2]))
+    df = n_cells - len(cells_in)
     if df == 0:
         raise EstimabilityError("no covariate profile holds two treatment groups")
     if variance_mode.kind == "known":
         sigma2 = variance_mode.sigma2
         detail = f"known variance {sigma2:g}"
     else:
-        if n_total <= n_cells:
+        if n <= n_cells:
             raise EstimabilityError(
                 "pooled variance needs more records than cells"
             )
-        sigma2 = ssw / (n_total - n_cells)
+        sigma2 = ssw / (n - n_cells)
         detail = f"pooled variance over {n_cells} cells"
     q = between / sigma2
+    from scipy.stats import chi2
+
     return TestResult(
         "standard_mean_equality", q, df, float(chi2.sf(q, df)), detail
     )

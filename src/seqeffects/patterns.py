@@ -203,12 +203,15 @@ class ConstraintRow:
 
 @dataclass
 class ConstraintSystem:
+    """The weighted rows, plus every feature row evaluated to build them."""
+
     pattern: PatternSpec
     horizon: int
     rows: list[ConstraintRow]
     dropped: list[ConstraintRow]
     skipped: list[tuple[PointEffectKey, str]]
     markov: bool
+    features: dict[PointEffectKey, np.ndarray]
 
     @property
     def matrix(self) -> np.ndarray:
@@ -274,7 +277,7 @@ def build_constraints(
             note,
         )
         (rows if weight > 0.0 else dropped).append(row)
-    return ConstraintSystem(spec, horizon, rows, dropped, skipped, markov)
+    return ConstraintSystem(spec, horizon, rows, dropped, skipped, markov, cache)
 
 
 def _unidentified(key: PointEffectKey, skipped) -> EstimabilityError:

@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from seqeffects import Dataset, MeanTable
+from seqeffects import Dataset, EstimabilityError, MeanTable
 
 
 def complete_histories(horizon, covariate_width):
@@ -59,6 +59,64 @@ def downstream_walk(table, node, key, value_fn, zero=0.0):
                     total = total + value_fn(gkey) * (gnode.mass / node.mass)
                 stack.append((gnode, gkey))
     return total
+
+
+def walk_decomposition_gap(table, effects):
+    """Worst |direct - decomposed| point effect, loads by the reference walk.
+
+    The decomposition adds to each net effect in ``effects`` the
+    arm-vs-control difference in downstream net-effect load, walked
+    target by target with `downstream_walk`, and compares it with the
+    raw arm contrast of stored means.
+    """
+    worst = 0.0
+    for key, effect in effects.items():
+        control_key = key.sibling(0)
+        arm, control = table.require(key), table.require(control_key)
+        decomposed = (
+            effect
+            + downstream_walk(table, arm, key, effects.__getitem__)
+            - downstream_walk(table, control, control_key, effects.__getitem__)
+        )
+        worst = max(worst, abs(table.mean(key) - table.mean(control_key) - decomposed))
+    return worst
+
+
+def standard_mean_equality_reference(d, variance_mode):
+    """Classical equal-means test statistic and df, one record at a time.
+
+    Groups ``d.records`` into covariate profiles and treatment paths with
+    dicts of lists, as the library did before it grouped with arrays.
+    Returns (statistic, df); raises EstimabilityError where it must.
+    """
+    profiles = {}
+    for rec in d.records:
+        p = profiles.setdefault(rec.covariates, {})
+        p.setdefault(rec.treatments, []).append(rec.outcome)
+    between = 0.0
+    df = 0
+    ssw = 0.0
+    n_cells = 0
+    n_total = 0
+    for cells in profiles.values():
+        counts = {c: len(v) for c, v in cells.items()}
+        means = {c: sum(v) / counts[c] for c, v in cells.items()}
+        total = sum(counts.values())
+        if len(cells) >= 2:
+            pooled = sum(counts[c] * means[c] for c in cells) / total
+            between += sum(counts[c] * (means[c] - pooled) ** 2 for c in cells)
+            df += len(cells) - 1
+        n_cells += len(cells)
+        n_total += total
+        for c, values in cells.items():
+            ssw += sum((v - means[c]) ** 2 for v in values)
+    if df == 0:
+        raise EstimabilityError("no covariate profile holds two treatment groups")
+    if variance_mode.kind == "known":
+        return between / variance_mode.sigma2, df
+    if n_total <= n_cells:
+        raise EstimabilityError("pooled variance needs more records than cells")
+    return between / (ssw / (n_total - n_cells)), df
 
 
 def dataset_from_cells(cells):

@@ -35,10 +35,10 @@ from seqeffects import (
 )
 from helpers import (
     dataset_from_cells,
-    downstream_walk,
     random_complete_table,
     random_two_period_cells,
     two_period_closed_form,
+    walk_decomposition_gap,
 )
 
 THREE_GROUPS = """\
@@ -83,34 +83,11 @@ def test_01_history_mean_roundtrip(random_tables):
     )
 
 
-def walk_decomposition_gap(table):
-    """Worst |direct - decomposed| point effect, loads by the reference walk.
-
-    The decomposition adds to each net effect the arm-vs-control
-    difference in downstream net-effect load, walked target by target in
-    helpers.py, so it shares nothing with the library's kernel but the
-    net effects themselves.
-    """
-    net = compute_net_effects(table)
-    lookup = net.effects.__getitem__
-    worst = 0.0
-    for key, effect in net.effects.items():
-        control_key = key.sibling(0)
-        arm, control = table.require(key), table.require(control_key)
-        decomposed = (
-            effect
-            + downstream_walk(table, arm, key, lookup)
-            - downstream_walk(table, control, control_key, lookup)
-        )
-        worst = max(worst, abs(table.mean(key) - table.mean(control_key) - decomposed))
-    return worst
-
-
 def test_02_decomposition_identity(random_tables):
     start = time.perf_counter()
     worst = 0.0
     for table in random_tables:
-        worst = max(worst, walk_decomposition_gap(table))
+        worst = max(worst, walk_decomposition_gap(table, compute_net_effects(table).effects))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-10 and elapsed < 5.0
     report(

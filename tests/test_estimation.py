@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from seqeffects import (
     Dataset,
@@ -26,7 +27,7 @@ from seqeffects import (
     simulate,
     standard_mean_equality_test,
 )
-from helpers import complete_histories
+from helpers import complete_histories, standard_mean_equality_reference
 
 THREE_GROUPS = """\
 group first: when t == 1
@@ -221,6 +222,38 @@ def test_standard_equality_test_is_zero_on_flat_outcomes():
     assert res.statistic == pytest.approx(0.0)
     assert res.df == 1
     assert res.p_value == pytest.approx(1.0)
+
+
+@st.composite
+def small_panels(draw):
+    """Random panels with few records per cell, codes 0..2, both shapes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 120))
+    horizon = draw(st.integers(1, 3))
+    width = draw(st.integers(1, 2)) if horizon > 1 else 0
+    z = rng.integers(0, draw(st.integers(2, 3)), size=(n, horizon))
+    x = rng.integers(0, 2, size=(n, horizon - 1, width))
+    effect = draw(st.sampled_from([0.0, 0.3, 5.0]))
+    y = effect * z.sum(axis=1) + rng.normal(50.0, draw(st.sampled_from([0.5, 2.0])), n)
+    return Dataset(z, x, y, [f"u{i}" for i in range(n)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=small_panels(),
+    mode=st.sampled_from([VarianceMode.known(2.0), VarianceMode.estimated()]),
+)
+def test_standard_equality_test_matches_the_record_loop(d, mode):
+    try:
+        statistic, df = standard_mean_equality_reference(d, mode)
+    except EstimabilityError as exc:
+        with pytest.raises(EstimabilityError, match=str(exc)):
+            standard_mean_equality_test(d, mode)
+        return
+    res = standard_mean_equality_test(d, mode)
+    assert res.df == df
+    assert res.statistic == pytest.approx(statistic, rel=1e-12, abs=0.0)
+    assert res.p_value == pytest.approx(float(chi2.sf(statistic, df)), rel=1e-12, abs=0.0)
 
 
 def test_pooled_outcome_variance(d16):

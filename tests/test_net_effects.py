@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seqeffects import (
@@ -15,7 +15,7 @@ from seqeffects import (
     simulate,
     verify_decomposition,
 )
-from helpers import downstream_walk, random_complete_table
+from helpers import downstream_walk, random_complete_table, walk_decomposition_gap
 
 
 def test_small_fixture_effects(d16):
@@ -174,6 +174,31 @@ def test_decomposition_identity_on_random_tables():
         table = random_complete_table(rng, horizon)
         report = verify_decomposition(table)
         assert report.max_deviation < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    horizon=st.integers(1, 3),
+    width=st.integers(1, 2),
+)
+def test_decomposition_identity_on_random_complete_tables(seed, horizon, width):
+    table = random_complete_table(np.random.default_rng(seed), horizon, width)
+    assert walk_decomposition_gap(table, compute_net_effects(table).effects) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    horizon=st.integers(2, 4),
+    per_cell=st.integers(20, 200),
+)
+def test_decomposition_identity_on_simulated_panels(seed, horizon, per_cell):
+    # Panels miss histories, but every stratum with an active arm needs
+    # its control for the net effects to exist at all.
+    table = simulate(make_markov_dgp(horizon), per_cell * 5 ** (horizon - 1), seed).table
+    assume(not missing_controls(table))
+    assert walk_decomposition_gap(table, compute_net_effects(table).effects) < 1e-12
 
 
 def test_missing_control_raises_with_labels():
