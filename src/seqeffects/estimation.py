@@ -34,6 +34,10 @@ from .strata import VarianceMode, point_effect_targets
 log = logging.getLogger(__name__)
 
 _RANK_RTOL = 1e-10
+# Memory for one block of resampled outcome rows in `resampling_diagnostic`.
+_RESAMPLE_BLOCK_BYTES = 8 * 2**20
+# A diagnostic report holds two dense m x m matrices; warn above this size.
+_DENSE_WARN_BYTES = 2**30
 
 
 def _num(value: float) -> float | None:
@@ -461,20 +465,28 @@ def expected_target_covariance(d: Dataset, sigma2: float = 1.0) -> tuple[list, n
 
     Distinct targets are uncorrelated unless they contrast different
     active arms against the same control records, which contributes the
-    control-mean variance to the pair.
+    control-mean variance to the pair. So the matrix is block-diagonal,
+    one block per parent stratum; it is filled block by block, in
+    O(m + sum of squared block sizes) time, but returned dense.
     """
     targets, _ = point_effect_targets(d)
     m = len(targets)
-    cov = np.zeros((m, m))
+    if 2 * 8 * m * m > _DENSE_WARN_BYTES:
+        log.warning(
+            "%d targets: the diagnostic's two dense %d x %d covariance matrices "
+            "take %d bytes",
+            m, m, m, 2 * 8 * m * m,
+        )
+    blocks: dict[StratumKey, list[int]] = {}
     for i, t in enumerate(targets):
-        cov[i, i] = sigma2 * (1.0 / t.arm_count + 1.0 / t.control_count)
-        for j in range(i + 1, m):
-            other = targets[j]
-            if (
-                t.time == other.time
-                and t.key.parent_stratum() == other.key.parent_stratum()
-            ):
-                cov[i, j] = cov[j, i] = sigma2 / t.control_count
+        blocks.setdefault(t.key.parent_stratum(), []).append(i)
+    cov = np.zeros((m, m))
+    for members in blocks.values():
+        if len(members) > 1:
+            cov[np.ix_(members, members)] = sigma2 / targets[members[0]].control_count
+    arm_counts = np.array([t.arm_count for t in targets], dtype=float)
+    control_counts = np.array([t.control_count for t in targets], dtype=float)
+    cov[np.diag_indices(m)] = sigma2 * (1.0 / arm_counts + 1.0 / control_counts)
     return targets, cov
 
 
@@ -486,8 +498,11 @@ def resampling_diagnostic(
     Redraws every outcome around its own deepest-stratum mean, re-forms
     the target estimates, and compares their empirical covariance to the
     model-implied one: variances at 3 Monte Carlo standard errors,
-    covariances at 4. Each replication uses its own seed stream, so the
-    result does not depend on chunking.
+    covariances at 4. Replication r draws from its own seed stream
+    ``(seed, r)``. Replications are drawn in blocks of rows that fit in
+    `_RESAMPLE_BLOCK_BYTES`, and each arm or control mean is taken once
+    per block along the rows; neither the block size nor the order of the
+    means changes a bit of the result.
     """
     targets, expected = expected_target_covariance(d, sigma2)
     labels = [t.key.label() for t in targets]
@@ -497,6 +512,10 @@ def resampling_diagnostic(
         return ResamplingReport(labels, 0, seed, sigma2, expected, None, [], [], notes)
     if reps < 2:
         raise DiagnosticError("an empirical covariance needs at least 2 replications")
+    if not targets:
+        notes.append("no estimable targets; nothing was checked")
+        log.warning("resampling diagnostic: no estimable targets; nothing was checked")
+        return ResamplingReport(labels, reps, seed, sigma2, expected, None, [], [], notes)
     if reps < 100:
         notes.append(f"{reps} replications is noisy; flags may be spurious")
         log.warning("resampling diagnostic with %d replications is noisy", reps)
@@ -506,34 +525,54 @@ def resampling_diagnostic(
     for leaf_key, leaf in table.level(2 * d.horizon - 1):
         mu[leaf.lo : leaf.hi] = leaf.derived_mean
     sigma = math.sqrt(sigma2)
-    spans = [
-        (table.require(t.key), table.require(t.key.sibling(0))) for t in targets
-    ]
+    # One column per distinct arm or control span; controls are shared.
+    spans: dict[tuple[int, int], int] = {}
+
+    def column(key: StratumKey) -> int:
+        node = table.require(key)
+        return spans.setdefault((node.lo, node.hi), len(spans))
+
+    arm_cols = np.array([column(t.key) for t in targets])
+    control_cols = np.array([column(t.key.sibling(0)) for t in targets])
     est = np.empty((reps, len(targets)))
-    for r in range(reps):
-        rng = np.random.default_rng([seed, r])
-        y = mu + sigma * rng.standard_normal(n)
-        for j, (arm, control) in enumerate(spans):
-            est[r, j] = (
-                y[arm.lo : arm.hi].mean() - y[control.lo : control.hi].mean()
-            )
+    rows = min(reps, max(1, _RESAMPLE_BLOCK_BYTES // (8 * n)))
+    buffer = np.empty((rows, n))
+    for r0 in range(0, reps, rows):
+        block = range(r0, min(reps, r0 + rows))
+        y = buffer[: len(block)]
+        for row, r in zip(y, block):
+            # in place, with the rounding of mu + sigma * standard_normal(n)
+            np.random.default_rng([seed, r]).standard_normal(out=row)
+            row *= sigma
+            row += mu
+        # A row-wise mean over a C-ordered block sums each row pairwise,
+        # exactly as the mean of that row's 1-D slice does.
+        means = np.empty((len(block), len(spans)))
+        for (lo, hi), c in spans.items():
+            means[:, c] = y[:, lo:hi].mean(axis=1)
+        est[block.start : block.stop] = means[:, arm_cols] - means[:, control_cols]
     empirical = np.cov(est, rowvar=False).reshape(len(targets), len(targets))
     flagged_var = []
     flagged_cov = []
-    for i in range(len(targets)):
-        mc_se = expected[i, i] * math.sqrt(2.0 / (reps - 1))
-        if abs(empirical[i, i] - expected[i, i]) > 3.0 * mc_se:
-            flagged_var.append(
-                FlaggedPair(i, i, empirical[i, i], expected[i, i], mc_se)
+    diag = expected.diagonal()
+    var_se = diag * math.sqrt(2.0 / (reps - 1))
+    for i in np.flatnonzero(np.abs(empirical.diagonal() - diag) > 3.0 * var_se):
+        flagged_var.append(
+            FlaggedPair(int(i), int(i), empirical[i, i], expected[i, i], var_se[i])
+        )
+    for i in range(len(targets) - 1):
+        row = expected[i, i + 1 :]
+        moment = diag[i] * diag[i + 1 :]
+        for k in np.flatnonzero(row):
+            # scalar pow, not an array square: the two round differently
+            moment[k] += row[k] ** 2
+        mc_se = np.sqrt(moment / (reps - 1))
+        hits = np.flatnonzero(np.abs(empirical[i, i + 1 :] - row) > 4.0 * mc_se)
+        for k in hits:
+            j = i + 1 + int(k)
+            flagged_cov.append(
+                FlaggedPair(i, j, empirical[i, j], expected[i, j], float(mc_se[k]))
             )
-        for j in range(i + 1, len(targets)):
-            mc_se = math.sqrt(
-                (expected[i, i] * expected[j, j] + expected[i, j] ** 2) / (reps - 1)
-            )
-            if abs(empirical[i, j] - expected[i, j]) > 4.0 * mc_se:
-                flagged_cov.append(
-                    FlaggedPair(i, j, empirical[i, j], expected[i, j], mc_se)
-                )
     return ResamplingReport(
         labels, reps, seed, sigma2, expected, empirical, flagged_var, flagged_cov, notes
     )

@@ -7,10 +7,18 @@ circularity.
 """
 
 import itertools
+import math
 
 import numpy as np
 
-from seqeffects import Dataset, EstimabilityError, MeanTable
+from seqeffects import (
+    Dataset,
+    EstimabilityError,
+    MeanTable,
+    ResamplingReport,
+    point_effect_targets,
+)
+from seqeffects.estimation import FlaggedPair
 
 
 def complete_histories(horizon, covariate_width):
@@ -117,6 +125,74 @@ def standard_mean_equality_reference(d, variance_mode):
     if n_total <= n_cells:
         raise EstimabilityError("pooled variance needs more records than cells")
     return between / (ssw / (n_total - n_cells)), df
+
+
+def expected_covariance_reference(d, sigma2=1.0):
+    """Model-implied target covariance, one pair of targets at a time.
+
+    Two targets covary, by the control-mean variance, exactly when they
+    share a parent stratum. This is the double loop the library's
+    block-by-block fill replaced. Returns (targets, matrix).
+    """
+    targets, _ = point_effect_targets(d)
+    m = len(targets)
+    cov = np.zeros((m, m))
+    for i, t in enumerate(targets):
+        cov[i, i] = sigma2 * (1.0 / t.arm_count + 1.0 / t.control_count)
+        for j in range(i + 1, m):
+            other = targets[j]
+            if (
+                t.time == other.time
+                and t.key.parent_stratum() == other.key.parent_stratum()
+            ):
+                cov[i, j] = cov[j, i] = sigma2 / t.control_count
+    return targets, cov
+
+
+def resampling_reference(d, reps, seed, sigma2, notes=()):
+    """Resampling diagnostic with one replication and one target at a time.
+
+    Redraws outcomes as ``mu + sigma * standard_normal(n)`` from the seed
+    stream ``(seed, r)``, re-forms every target from 1-D slices, and flags
+    pairs one at a time. This is the reps-by-targets loop the library's
+    blocked version replaced; ``notes`` are passed through to the report.
+    Needs reps >= 2 and at least one target.
+    """
+    targets, expected = expected_covariance_reference(d, sigma2)
+    m = len(targets)
+    table = d.table
+    n = d.n_records
+    mu = np.empty(n)
+    for _, leaf in table.level(2 * d.horizon - 1):
+        mu[leaf.lo : leaf.hi] = leaf.derived_mean
+    sigma = math.sqrt(sigma2)
+    spans = [(table.require(t.key), table.require(t.key.sibling(0))) for t in targets]
+    est = np.empty((reps, m))
+    for r in range(reps):
+        rng = np.random.default_rng([seed, r])
+        y = mu + sigma * rng.standard_normal(n)
+        for j, (arm, control) in enumerate(spans):
+            est[r, j] = y[arm.lo : arm.hi].mean() - y[control.lo : control.hi].mean()
+    empirical = np.cov(est, rowvar=False).reshape(m, m)
+    flagged_var = []
+    flagged_cov = []
+    for i in range(m):
+        mc_se = expected[i, i] * math.sqrt(2.0 / (reps - 1))
+        if abs(empirical[i, i] - expected[i, i]) > 3.0 * mc_se:
+            flagged_var.append(FlaggedPair(i, i, empirical[i, i], expected[i, i], mc_se))
+        for j in range(i + 1, m):
+            mc_se = math.sqrt(
+                (expected[i, i] * expected[j, j] + expected[i, j] ** 2) / (reps - 1)
+            )
+            if abs(empirical[i, j] - expected[i, j]) > 4.0 * mc_se:
+                flagged_cov.append(
+                    FlaggedPair(i, j, empirical[i, j], expected[i, j], mc_se)
+                )
+    labels = [t.key.label() for t in targets]
+    return ResamplingReport(
+        labels, reps, seed, sigma2, expected, empirical, flagged_var, flagged_cov,
+        list(notes),
+    )
 
 
 def dataset_from_cells(cells):

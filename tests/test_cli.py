@@ -207,6 +207,17 @@ def test_diagnose_clean_data_exits_zero(tmp_path, ref_csv):
     assert blob["decomposition"]["flagged"] is False
 
 
+def test_diagnose_without_targets_says_nothing_was_checked(tmp_path, caplog):
+    data = write(tmp_path, "untreated.csv", "unit_id,z1,y\nu0,0,1.0\nu1,0,2.0\nu2,0,3.0\n")
+    out = tmp_path / "diag.json"
+    assert main(["diagnose", "--data", data, "--reps", "50", "--out", str(out)]) == 0
+    resampling = json.loads(out.read_text())["resampling"]
+    assert resampling["targets"] == []
+    assert resampling["notes"] == ["no estimable targets; nothing was checked"]
+    assert resampling["empirical_covariance"] is None
+    assert any("no estimable targets" in r.getMessage() for r in caplog.records)
+
+
 def test_suggest_pattern_defaults_to_one_group_per_target(tmp_path, ref_csv):
     out = tmp_path / "disc.json"
     code = main(

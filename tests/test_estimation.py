@@ -10,6 +10,7 @@ from scipy.stats import chi2
 
 from seqeffects import (
     Dataset,
+    DiagnosticError,
     EstimabilityError,
     IdentifiabilityError,
     VarianceMode,
@@ -27,7 +28,13 @@ from seqeffects import (
     simulate,
     standard_mean_equality_test,
 )
-from helpers import complete_histories, standard_mean_equality_reference
+from seqeffects import estimation
+from helpers import (
+    complete_histories,
+    expected_covariance_reference,
+    resampling_reference,
+    standard_mean_equality_reference,
+)
 
 THREE_GROUPS = """\
 group first: when t == 1
@@ -225,11 +232,11 @@ def test_standard_equality_test_is_zero_on_flat_outcomes():
 
 
 @st.composite
-def small_panels(draw):
+def small_panels(draw, min_horizon=1):
     """Random panels with few records per cell, codes 0..2, both shapes."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(2, 120))
-    horizon = draw(st.integers(1, 3))
+    horizon = draw(st.integers(min_horizon, 3))
     width = draw(st.integers(1, 2)) if horizon > 1 else 0
     z = rng.integers(0, draw(st.integers(2, 3)), size=(n, horizon))
     x = rng.integers(0, 2, size=(n, horizon - 1, width))
@@ -306,8 +313,92 @@ def test_resampling_diagnostic_rep_bounds(dref):
     report = resampling_diagnostic(dref, reps=0, sigma2=25.0)
     assert not report.flagged_variances
     assert any("nothing was checked" in n for n in report.notes)
-    with pytest.raises(Exception):
+    with pytest.raises(DiagnosticError, match="at least 2 replications"):
         resampling_diagnostic(dref, reps=1, sigma2=25.0)
+
+
+def assert_same_report(report, reference):
+    assert report.target_labels == reference.target_labels
+    assert np.array_equal(report.expected, reference.expected)
+    assert np.array_equal(report.empirical, reference.empirical)
+    assert report.flagged_variances == reference.flagged_variances
+    assert report.flagged_covariances == reference.flagged_covariances
+    assert report.to_json() == reference.to_json()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    d=small_panels(min_horizon=2),
+    reps=st.integers(2, 30),
+    seed=st.integers(0, 2**16),
+    sigma2=st.sampled_from([0.05, 1.0, 2.5, 25.0]),
+)
+def test_resampling_diagnostic_matches_the_pairwise_loops(d, reps, seed, sigma2):
+    targets, expected = expected_target_covariance(d, sigma2)
+    ref_targets, ref_expected = expected_covariance_reference(d, sigma2)
+    assert [t.key for t in targets] == [t.key for t in ref_targets]
+    assert np.array_equal(expected, ref_expected)
+    report = resampling_diagnostic(d, reps=reps, seed=seed, sigma2=sigma2)
+    if not targets:
+        assert report.notes == ["no estimable targets; nothing was checked"]
+        return
+    reference = resampling_reference(d, reps, seed, sigma2, notes=report.notes)
+    assert_same_report(report, reference)
+
+
+def multi_level_panel(seed=11, n=400):
+    rng = np.random.default_rng(seed)
+    z = rng.integers(0, 4, size=(n, 2))
+    x = rng.integers(0, 2, size=(n, 1, 1))
+    y = 3.0 * z.sum(axis=1) + rng.normal(50.0, 2.0, n)
+    return Dataset(z, x, y, [f"u{i}" for i in range(n)])
+
+
+def test_resampling_diagnostic_does_not_depend_on_the_block_size(monkeypatch):
+    d = multi_level_panel()
+    # Four replications flag pairs by chance, one of them inside a block.
+    # At this sigma2 that pair's mc_se differs in the last bit when the
+    # squared covariance is an array square rather than a scalar pow.
+    sigma2 = 9.915
+    whole = resampling_diagnostic(d, reps=4, seed=5, sigma2=sigma2)
+    assert whole.flagged_variances
+    assert any(f.expected != 0.0 for f in whole.flagged_covariances)
+    monkeypatch.setattr(estimation, "_RESAMPLE_BLOCK_BYTES", 1)
+    one_rep = resampling_diagnostic(d, reps=4, seed=5, sigma2=sigma2)
+    assert_same_report(one_rep, whole)
+    assert_same_report(one_rep, resampling_reference(d, 4, 5, sigma2, notes=whole.notes))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ["u0,0,1.0", "u1,0,2.0", "u2,0,3.0"],  # nothing treated
+        ["u0,1,1.0", "u1,1,2.0", "u2,2,3.0"],  # no arm has a control
+    ],
+)
+def test_resampling_diagnostic_without_targets_says_nothing_was_checked(rows, caplog):
+    d = load_dataset(io.StringIO("\n".join(["unit_id,z1,y"] + rows) + "\n"))
+    with caplog.at_level(logging.WARNING):
+        report = resampling_diagnostic(d, reps=200, seed=1)
+    assert report.target_labels == []
+    assert report.notes == ["no estimable targets; nothing was checked"]
+    assert report.empirical is None
+    assert any("no estimable targets" in r.message for r in caplog.records)
+
+
+def test_dense_covariance_size_warning(dref, caplog, monkeypatch):
+    quiet = resampling_diagnostic(dref, reps=50, seed=2, sigma2=25.0)
+    monkeypatch.setattr(estimation, "_DENSE_WARN_BYTES", 2 * 8 * 5 * 5 - 1)
+    with caplog.at_level(logging.WARNING):
+        loud = resampling_diagnostic(dref, reps=50, seed=2, sigma2=25.0)
+    warned = [r.getMessage() for r in caplog.records if "dense" in r.getMessage()]
+    assert warned == ["5 targets: the diagnostic's two dense 5 x 5 covariance matrices take 400 bytes"]
+    assert loud.to_dict() == quiet.to_dict()
+    monkeypatch.setattr(estimation, "_DENSE_WARN_BYTES", 2 * 8 * 5 * 5)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        resampling_diagnostic(dref, reps=0, sigma2=25.0)
+    assert not [r for r in caplog.records if "dense" in r.getMessage()]
 
 
 def test_discovery_merges_equal_groups(dref):
