@@ -8,7 +8,7 @@ least-squares fit when a pattern file pools them, and a simulator with
 exact ground truth closes the loop for validation.
 """
 
-from .dataset import Dataset, ObservationRecord, load_dataset, save_dataset, stratum_members
+from .dataset import Dataset, load_dataset, save_dataset
 from .errors import (
     CoverageError,
     DgpError,
@@ -104,7 +104,6 @@ __all__ = [
     "MeanTable",
     "NetEffectFit",
     "NetEffectTable",
-    "ObservationRecord",
     "ParseError",
     "PatternError",
     "PatternSpec",
@@ -153,6 +152,5 @@ __all__ = [
     "simulate",
     "standard_mean_equality_test",
     "stratum_mean_variance",
-    "stratum_members",
     "verify_decomposition",
 ]

@@ -7,6 +7,12 @@ The CSV layout is one record per row:
 with non-negative integer treatment codes z (0 = control), non-negative
 integer covariate components x, and a real outcome y measured after the
 last treatment. One file holds one study population.
+
+A Dataset indexes its records two ways. `Dataset.periods` lists each
+period's treatment arms as flat arrays, full-history or pooled; targets
+and every pattern fit read only these. `Dataset.table` is the
+history-prefix trie behind the exact recursion, the oracle and the
+diagnostics.
 """
 
 from __future__ import annotations
@@ -20,47 +26,63 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, ParseError, UsageError
-from .keys import Covariate, MarkovKey, PointEffectKey, StratumKey
-from .tables import MeanTable
+from .keys import MarkovKey, PointEffectKey, StratumKey
+from .tables import MeanTable, sort_histories
 
 _Z_COL = re.compile(r"^z(\d+)$")
 _X_COL = re.compile(r"^x(\d+)_(\d+)$")
 
 
 @dataclass(frozen=True)
-class ObservationRecord:
-    """One unit: full treatment sequence, covariate path, final outcome."""
-
-    unit_id: str
-    treatments: tuple[int, ...]
-    covariates: tuple[Covariate, ...]
-    outcome: float
-
-
-@dataclass(frozen=True)
-class PooledPeriod:
-    """One period's pooled arms as arrays over the records.
-
-    Period 1 keeps its arms z1; a later period t pools records on the
-    signature (z[t-1], x[t-1], z[t]). `keys` holds the distinct signatures
-    in sorted order, `codes[i]` is record i's index into them, and
-    `members[bounds[g]:bounds[g + 1]]` lists signature g's records in
-    record order.
-    """
+class PeriodArms:
+    """One period's treatment arms, sorted by key, as arrays over the
+    records: record i is in arm `codes[i]`, and arm g holds the outcomes
+    `outcomes[bounds[g]:bounds[g + 1]]`, takes treatment `arms[g]`, and
+    has its stratum's control arm at `control[g]` (-1 when unobserved)."""
 
     keys: tuple[PointEffectKey, ...]
     codes: np.ndarray
-    members: np.ndarray
     bounds: np.ndarray
+    outcomes: np.ndarray
+    arms: np.ndarray
+    control: np.ndarray
 
-    def records(self, g: int) -> np.ndarray:
-        return self.members[self.bounds[g] : self.bounds[g + 1]]
+    def values(self, g: int) -> np.ndarray:
+        return self.outcomes[self.bounds[g] : self.bounds[g + 1]]
+
+
+def _period_arms(order, cols, key, outcomes) -> PeriodArms:
+    """The arms of `cols` (last column: the treatment) as the runs of equal
+    rows among the records in `order`; `key` maps a run's row, as a list,
+    to its key, and `outcomes` are the outcomes in `order`."""
+    n = order.size
+    new = np.zeros(n, dtype=bool)
+    new[0] = True
+    for col in cols:
+        ordered = col[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    codes = np.empty(n, dtype=np.int64)
+    codes[order] = np.cumsum(new) - 1
+    heads = np.column_stack([col[order[new]] for col in cols])
+    stratum = np.ones(len(heads), dtype=bool)
+    stratum[1:] = np.any(heads[1:, :-1] != heads[:-1, :-1], axis=1)
+    first = np.flatnonzero(stratum)[np.cumsum(stratum) - 1]
+    return PeriodArms(
+        tuple(key(r) for r in heads.tolist()),
+        codes,
+        np.append(np.flatnonzero(new), n),
+        outcomes,
+        heads[:, -1],
+        np.where(heads[first, -1] == 0, first, -1),
+    )
 
 
 class Dataset:
-    """Immutable record collection indexed by a history-prefix trie.
+    """Immutable record collection with two indexes over the records.
 
-    Pooled-history fits use the per-period signatures in `pooled` instead.
+    `periods` lists each period's treatment arms as flat arrays, which is
+    all that point-effect targets and pattern fits read; `table` is the
+    history-prefix trie behind the exact recursion and the diagnostics.
 
     Attributes
     ----------
@@ -104,8 +126,7 @@ class Dataset:
         self.covariate_width = width
         self.n_records = n
         self._table: MeanTable | None = None
-        self._pooled: tuple[PooledPeriod, ...] | None = None
-        self._records: tuple[ObservationRecord, ...] | None = None
+        self._periods: dict[bool, tuple[PeriodArms, ...]] = {}
 
     # -- derived views --------------------------------------------------
 
@@ -116,57 +137,52 @@ class Dataset:
             self._table = MeanTable.from_arrays(self.z, self.x, self.y)
         return self._table
 
-    @property
-    def pooled(self) -> tuple[PooledPeriod, ...]:
-        """Pooled arms of periods 1..T, without the trie (built once)."""
-        if self._pooled is None:
-            self._pooled = tuple(
-                self._pooled_period(t) for t in range(1, self.horizon + 1)
-            )
-        return self._pooled
+    def periods(self, markov: bool) -> tuple[PeriodArms, ...]:
+        """Arms of periods 1..T, full-history or pooled (built once each).
 
-    def _pooled_period(self, t: int) -> PooledPeriod:
-        if t == 1:
-            sig = self.z[:, :1]
-        else:
-            sig = np.column_stack(
-                [self.z[:, t - 2], self.x[:, t - 2, :], self.z[:, t - 1]]
-            )
-        # A stable lexsort sorts the signatures and keeps record order
-        # within each, many times faster than np.unique(axis=0).
-        members = np.lexsort(sig.T[::-1])
-        ordered = sig[members]
-        new = np.ones(self.n_records, dtype=bool)
-        new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-        codes = np.empty(self.n_records, dtype=np.int64)
-        codes[members] = np.cumsum(new) - 1
-        bounds = np.append(np.flatnonzero(new), self.n_records)
-        rows = ordered[new].tolist()
-        if t == 1:
-            keys = tuple(StratumKey((r[0],), ()) for r in rows)
-        else:
-            keys = tuple(MarkovKey(t, r[0], tuple(r[1:-1]), r[-1]) for r in rows)
-        return PooledPeriod(keys, codes, members, bounds)
+        A full-history arm at period t is a run of equal prefixes
+        z1, x1, ..., zt among the records sorted by interleaved history,
+        so its outcomes are in the trie's order. A pooled arm at t > 1
+        gathers the records sharing the signature (z[t-1], x[t-1], z[t]),
+        in record order; period 1 keeps its arms z1 in both modes.
+        """
+        if markov not in self._periods:
+            build = self._pooled_periods if markov else self._full_periods
+            self._periods[markov] = build()
+        return self._periods[markov]
 
-    @property
-    def records(self) -> tuple[ObservationRecord, ...]:
-        if self._records is None:
-            recs = []
-            for i in range(self.n_records):
-                covs = tuple(
-                    tuple(int(v) for v in self.x[i, t])
-                    for t in range(self.horizon - 1)
-                )
-                recs.append(
-                    ObservationRecord(
-                        self.unit_ids[i],
-                        tuple(int(v) for v in self.z[i]),
-                        covs,
-                        float(self.y[i]),
-                    )
-                )
-            self._records = tuple(recs)
-        return self._records
+    def _full_periods(self) -> tuple[PeriodArms, ...]:
+        order, cols = sort_histories(self.z, self.x)
+        outcomes = self.y[order]
+        step = 1 + self.covariate_width
+
+        def key(r):
+            covs = (tuple(r[i + 1 : i + step]) for i in range(0, len(r) - 1, step))
+            return StratumKey(tuple(r[::step]), tuple(covs))
+
+        return tuple(
+            _period_arms(order, cols[: (t - 1) * step + 1], key, outcomes)
+            for t in range(1, self.horizon + 1)
+        )
+
+    def _pooled_periods(self) -> tuple[PeriodArms, ...]:
+        out = []
+        for t in range(1, self.horizon + 1):
+            if t == 1:
+                cols = [self.z[:, 0]]
+            else:
+                cols = [self.z[:, t - 2], *self.x[:, t - 2].T, self.z[:, t - 1]]
+
+            def key(r, t=t):
+                if t == 1:
+                    return StratumKey((r[0],), ())
+                return MarkovKey(t, r[0], tuple(r[1:-1]), r[-1])
+
+            # A stable lexsort sorts the signatures and keeps record order
+            # within each, many times faster than np.unique(axis=0).
+            order = np.lexsort(cols[::-1])
+            out.append(_period_arms(order, cols, key, self.y[order]))
+        return tuple(out)
 
     def treatment_levels(self, t: int) -> tuple[int, ...]:
         """Observed treatment codes at period t (1-based), sorted."""
@@ -180,18 +196,6 @@ class Dataset:
             tuple(int(v) for v in self.x[i, t]) for t in range(self.horizon - 1)
         )
         return StratumKey(tuple(int(v) for v in self.z[i]), covs)
-
-
-def stratum_members(d: Dataset, key: StratumKey) -> set[int]:
-    """Record indices whose history starts with the given prefix.
-
-    The depth-0 key selects everyone. Unobserved prefixes give the empty
-    set; they are legal queries, not errors.
-    """
-    node = d.table.node(key)
-    if node is None:
-        return set()
-    return {int(i) for i in d.table.order[node.lo : node.hi]}
 
 
 def load_dataset(source) -> Dataset:

@@ -132,25 +132,6 @@ def _position(value, error_cls, what: str) -> int:
     return value
 
 
-class TreatmentView:
-    """z[s] over a realized prefix z_1..z_n; s < 1 reads as control."""
-
-    __slots__ = ("_values", "_error", "_beyond")
-
-    def __init__(self, values: Sequence[int], error_cls, beyond: str):
-        self._values = values
-        self._error = error_cls
-        self._beyond = beyond
-
-    def __getitem__(self, s) -> int:
-        s = _position(s, self._error, "treatment")
-        if s < 1:
-            return 0
-        if s > len(self._values):
-            raise self._error(f"z[{s}] {self._beyond}")
-        return self._values[s - 1]
-
-
 class _Row:
     __slots__ = ("_vec", "_error")
 
@@ -169,63 +150,40 @@ class _Row:
         return self._vec[i - 1]
 
 
-class CovariateView:
-    """x[s][i] over realized vectors x_1..x_n; s < 1 reads as reference."""
+class TreatmentView:
+    """z[s] over the values known at positions first, first + 1, ...;
+    s < 1 reads as control, and any other position raises
+    error_cls(missing(s))."""
 
-    __slots__ = ("_rows", "_error", "_beyond")
-
-    def __init__(self, rows: Sequence[Sequence[int]], error_cls, beyond: str):
-        self._rows = rows
-        self._error = error_cls
-        self._beyond = beyond
-
-    def __getitem__(self, s) -> _Row:
-        s = _position(s, self._error, "covariate")
-        if s < 1:
-            return _Row(None, self._error)
-        if s > len(self._rows):
-            raise self._error(f"x[{s}] {self._beyond}")
-        return _Row(self._rows[s - 1], self._error)
-
-
-class SparseTreatmentView:
-    """z[s] when only some positions are retained (pooled histories)."""
-
-    __slots__ = ("_known", "_error", "_messages")
-
-    def __init__(self, known: dict[int, int], error_cls, missing: Callable[[int], str]):
-        self._known = known
-        self._error = error_cls
-        self._messages = missing
-
-    def __getitem__(self, s) -> int:
-        s = _position(s, self._error, "treatment")
-        if s < 1:
-            return 0
-        if s not in self._known:
-            raise self._error(self._messages(s))
-        return self._known[s]
-
-
-class SparseCovariateView:
-    """x[s][i] when only some positions are retained."""
-
-    __slots__ = ("_known", "_error", "_messages")
+    __slots__ = ("_first", "_values", "_error", "_missing")
+    _what = "treatment"
 
     def __init__(
-        self,
-        known: dict[int, Sequence[int]],
-        error_cls,
-        missing: Callable[[int], str],
+        self, first: int, values: Sequence, error_cls, missing: Callable[[int], str]
     ):
-        self._known = known
+        self._first = first
+        self._values = values
         self._error = error_cls
-        self._messages = missing
+        self._missing = missing
 
-    def __getitem__(self, s) -> _Row:
-        s = _position(s, self._error, "covariate")
+    def __getitem__(self, s):
+        s = _position(s, self._error, self._what)
         if s < 1:
-            return _Row(None, self._error)
-        if s not in self._known:
-            raise self._error(self._messages(s))
-        return _Row(self._known[s], self._error)
+            return self._read(None)
+        if not 0 <= s - self._first < len(self._values):
+            raise self._error(self._missing(s))
+        return self._read(self._values[s - self._first])
+
+    def _read(self, value):
+        return 0 if value is None else value
+
+
+class CovariateView(TreatmentView):
+    """x[s][i] over the vectors known at positions first, first + 1, ...;
+    s < 1 reads as the reference vector of zeros."""
+
+    __slots__ = ()
+    _what = "covariate"
+
+    def _read(self, vec) -> _Row:
+        return _Row(vec, self._error)

@@ -6,14 +6,17 @@ stratum-arm mean with the mass-weighted contributions of all *downstream*
 active-arm net effects removed. Computed backward from the last period,
 where the net effect is just the arm contrast of stratum means.
 
-`downstream_weighted_sum` is the one kernel for mass-weighted downstream
-loads: the recursion runs it on net effects, and full-history pattern
-constraints run it on feature vectors.
+`downstream_weighted_sum` is the trie's kernel for mass-weighted
+downstream loads, and the recursion runs it on net effects. Pattern fits
+never build the trie: they sum downstream feature loads over the flat
+per-period arms of `Dataset.periods` instead (`patterns`).
 
 The point effect (plain arm contrast of stratum means at any period)
 decomposes as its own net effect plus the difference between the two arms'
 downstream net-effect loads; `verify_decomposition` checks that identity
 against directly contrasted stored means and reports the worst deviation.
+It checks every arm whose own and control subtrees are complete, and lists
+the other active arms as skipped.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ def missing_controls(table: MeanTable) -> list[StratumKey]:
     return out
 
 
-def downstream_weighted_sum(table: MeanTable, value_fn, zero=0.0):
+def downstream_weighted_sum(table: MeanTable, value_fn):
     """The downstream-load kernel: returns load(key, node=None) for any arm.
 
     The load of a treatment-ended stratum is the sum of value_fn over the
@@ -77,8 +80,8 @@ def downstream_weighted_sum(table: MeanTable, value_fn, zero=0.0):
     with value(g) = value_fn(key of g) for active g and nothing for a
     control. Loads are memoized, so each arm is visited at most once per
     kernel, and value_fn runs only at arms below an arm whose load was
-    asked for. value_fn may return floats or numpy vectors; pass a
-    matching `zero`, which is never modified.
+    asked for. value_fn may return floats or numpy vectors; an arm with
+    no active arm below has load 0.0.
     """
     memo: dict[TableNode, object] = {}
 
@@ -86,10 +89,10 @@ def downstream_weighted_sum(table: MeanTable, value_fn, zero=0.0):
         if node is None:
             node = table.require(key)
         if not node.children:
-            return zero
+            return 0.0
         out = memo.get(node)
         if out is None:
-            acc = zero
+            acc = 0.0
             for vec, xnode in node.children.items():
                 xkey = key.with_covariate(vec)
                 for z, gnode in xnode.children.items():
@@ -119,19 +122,46 @@ def compute_net_effects(table: MeanTable) -> NetEffectTable:
             + "; ".join(k.label() for k in incomplete[:20])
             + (f" and {len(incomplete) - 20} more strata" if len(incomplete) > 20 else "")
         )
+    return _net_effects(table, set())
+
+
+def _net_effects(table: MeanTable, incomplete: set[TableNode]) -> NetEffectTable:
+    """The recursion at every arm outside `incomplete`.
+
+    `incomplete` must hold every arm with a control-less stratum below it
+    (`_incomplete_arms`); the loads of all other arms then need only net
+    effects that exist. An active arm whose control is missing or in
+    `incomplete` gets a control-continuation mean but no net effect.
+    """
     net = NetEffectTable(table.horizon)
     load = downstream_weighted_sum(table, net.effects.__getitem__)
     for t in range(table.horizon, 0, -1):
         for pkey, pnode in table.level(2 * (t - 1)):
+            base = None
             for z, anode in sorted(pnode.children.items()):
+                if anode in incomplete:
+                    continue
                 akey = pkey.with_treatment(z)
                 mean = anode.derived_mean - load(akey, anode)
                 net.control_means[akey] = mean
                 if z == 0:
                     base = mean
-                else:
+                elif base is not None:
                     net.effects[akey] = mean - base
     return net
+
+
+def _incomplete_arms(table: MeanTable) -> set[TableNode]:
+    """Arms with a stratum below them that holds no control arm."""
+    out: set[TableNode] = set()
+    for depth in range(2 * table.horizon - 3, 0, -2):
+        for _, node in table.level(depth):
+            for stratum in node.children.values():
+                arms = stratum.children
+                if 0 not in arms or any(g in out for g in arms.values()):
+                    out.add(node)
+                    break
+    return out
 
 
 def decompose_point_effect(
@@ -173,6 +203,7 @@ class DecompositionEntry:
 class DecompositionReport:
     entries: list[DecompositionEntry]
     tolerance: float
+    skipped: list[tuple[StratumKey, str]] = field(default_factory=list)
 
     @property
     def max_deviation(self) -> float:
@@ -184,7 +215,7 @@ class DecompositionReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "max_deviation": self.max_deviation,
             "tolerance": self.tolerance,
             "flagged": self.flagged,
@@ -197,6 +228,9 @@ class DecompositionReport:
                 }
                 for e in self.entries
             ],
+            "skipped": [
+                {"key": key.label(), "reason": reason} for key, reason in self.skipped
+            ],
         }
 
 
@@ -206,23 +240,33 @@ def verify_decomposition(table: MeanTable, tolerance: float = 1e-8) -> Decomposi
     The direct side reads stored stratum means (overrides included), the
     decomposition side reads the loads the recursion left in the
     NetEffectTable, which it built from leaf-derived means, so a planted
-    inconsistency in any internal mean shows up as a deviation.
+    inconsistency in any internal mean shows up as a deviation. An active
+    arm is checked when its stratum holds a control arm and neither arm
+    has a control-less stratum below it; the others are listed as
+    skipped with the reason.
     """
-    net = compute_net_effects(table)
+    incomplete = _incomplete_arms(table)
+    net = _net_effects(table, incomplete)
     entries = []
+    skipped = []
     for t in range(1, table.horizon + 1):
         for pkey, pnode in table.level(2 * (t - 1)):
-            if 0 not in pnode.children:
-                continue
-            control_mean = table.mean(pkey.with_treatment(0))
+            control = pnode.children.get(0)
             for z, anode in sorted(pnode.children.items()):
                 if z == 0:
                     continue
                 akey = pkey.with_treatment(z)
-                direct = table.mean(akey) - control_mean
-                entries.append(
-                    DecompositionEntry(
-                        akey, direct, decompose_point_effect(net, table, akey)
+                if control is None:
+                    skipped.append((akey, "control arm unobserved"))
+                elif anode in incomplete:
+                    skipped.append((akey, "control arm unobserved below the arm"))
+                elif control in incomplete:
+                    skipped.append((akey, "control arm unobserved below its control"))
+                else:
+                    direct = table.mean(akey) - table.mean(pkey.with_treatment(0))
+                    entries.append(
+                        DecompositionEntry(
+                            akey, direct, decompose_point_effect(net, table, akey)
+                        )
                     )
-                )
-    return DecompositionReport(entries, tolerance)
+    return DecompositionReport(entries, tolerance, skipped)

@@ -16,7 +16,9 @@ Evaluation points are the net-effect keys. Each target's constraint row
 pairs the feature vector at the target itself with the mass-weighted
 feature load of the active arms downstream of each side of the contrast,
 so a parameter vector consistent with the pattern reproduces every point
-effect from net effects alone.
+effect from net effects alone. Both fit modes take those loads from one
+backward pass over the per-period arms of `Dataset.periods`; no fit
+builds the history trie.
 """
 
 from __future__ import annotations
@@ -28,16 +30,8 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import CoverageError, EstimabilityError, ParseError, PatternError
-from .exprlang import (
-    CompiledExpr,
-    CovariateView,
-    SparseCovariateView,
-    SparseTreatmentView,
-    TreatmentView,
-    compile_expr,
-)
+from .exprlang import CompiledExpr, CovariateView, TreatmentView, compile_expr
 from .keys import MarkovKey, PointEffectKey
-from .net_effects import downstream_weighted_sum
 from .strata import VarianceMode, point_effect_targets
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -106,41 +100,32 @@ class PatternSpec:
 
 
 def _feature_env(key: PointEffectKey, horizon: int) -> dict:
+    t = key.time
     if isinstance(key, MarkovKey):
-        t = key.time
-        known_z = {t - 1: key.prev_treatment, t: key.treatment}
-        known_x = {t - 1: key.prev_covariate}
+        retained = (
+            f"is pooled away at this evaluation point; only "
+            f"z[{t - 1}], z[{t}] and x[{t - 1}] are retained"
+        )
 
         def missing_z(s: int) -> str:
             if s > t:
                 return f"z[{s}] is not determined at a time-{t} evaluation point"
-            return (
-                f"z[{s}] is pooled away at this evaluation point; only "
-                f"z[{t - 1}], z[{t}] and x[{t - 1}] are retained"
-            )
+            return f"z[{s}] {retained}"
 
         def missing_x(s: int) -> str:
             if s >= t:
                 return f"x[{s}] is not determined at a time-{t} evaluation point"
-            return (
-                f"x[{s}] is pooled away at this evaluation point; only "
-                f"z[{t - 1}], z[{t}] and x[{t - 1}] are retained"
-            )
+            return f"x[{s}] {retained}"
 
-        return {
-            "t": t,
-            "T": horizon,
-            "z": SparseTreatmentView(known_z, PatternError, missing_z),
-            "x": SparseCovariateView(known_x, PatternError, missing_x),
-        }
-    t = key.time
-    beyond = f"is not determined at a time-{t} evaluation point"
-    return {
-        "t": t,
-        "T": horizon,
-        "z": TreatmentView(key.treatments, PatternError, beyond),
-        "x": CovariateView(key.covariates, PatternError, beyond),
-    }
+        z = TreatmentView(
+            t - 1, (key.prev_treatment, key.treatment), PatternError, missing_z
+        )
+        x = CovariateView(t - 1, (key.prev_covariate,), PatternError, missing_x)
+    else:
+        beyond = f"is not determined at a time-{t} evaluation point"
+        z = TreatmentView(1, key.treatments, PatternError, lambda s: f"z[{s}] {beyond}")
+        x = CovariateView(1, key.covariates, PatternError, lambda s: f"x[{s}] {beyond}")
+    return {"t": t, "T": horizon, "z": z, "x": x}
 
 
 def parse_pattern(source: str) -> PatternSpec:
@@ -247,15 +232,12 @@ def build_constraints(
                 raise _unidentified(key, skipped) from None
         return row
 
-    if markov:
-        load = _markov_side_sums(d, feature, spec.size).__getitem__
-    else:
-        load = downstream_weighted_sum(d.table, feature, np.zeros(spec.size))
+    load = _downstream_loads(d.periods(markov), feature, spec.size)
     rows: list[ConstraintRow] = []
     dropped: list[ConstraintRow] = []
     for target in targets:
         key = target.key
-        coeff = feature(key) + load(key) - load(key.sibling(0))
+        coeff = feature(key) + load[key] - load[key.sibling(0)]
         variance = target.variance(variance_mode)
         weight = 0.0
         note = None
@@ -291,31 +273,40 @@ def _unidentified(key: PointEffectKey, skipped) -> EstimabilityError:
     )
 
 
-def _markov_side_sums(d: Dataset, feature, k: int) -> dict:
-    """Mean downstream feature load of every pooled arm, off the records.
+def _downstream_loads(periods, feature, k: int) -> dict:
+    """Mean downstream feature load of every target arm and control.
 
     A record's load past period t is the sum of the feature rows of its
-    active pooled arms at periods s > t; a pooled arm averages the loads
-    of its member records. One backward pass over the periods builds
-    them all, evaluating the pattern once per active signature.
+    active arms at periods s > t, and an arm's load is the mean load of
+    its records. One backward pass over the periods builds them all,
+    evaluating the pattern once per active arm, and only at arms holding
+    a record that a target arm or control of an earlier period holds:
+    no other load reads them.
     """
-    load = np.zeros((d.n_records, k))
-    zero = np.zeros(k)
-    sums: dict = {}
-    periods = d.pooled
+    covered = np.zeros(periods[0].codes.size, dtype=bool)
+    needed, reached = [], []
+    for period in periods:
+        reached.append(np.bincount(period.codes[covered], minlength=len(period.keys)) > 0)
+        need = (period.arms > 0) & (period.control >= 0)
+        need[period.control[need]] = True
+        needed.append(np.flatnonzero(need))
+        covered |= need[period.codes]
+    load = np.zeros((covered.size, k))
+    loads: dict = {}
     for t in range(len(periods), 0, -1):
         period = periods[t - 1]
-        n_sig = len(period.keys)
+        n_arm = len(period.keys)
         total = np.column_stack(
-            [np.bincount(period.codes, load[:, j], n_sig) for j in range(k)]
+            [np.bincount(period.codes, load[:, j], n_arm) for j in range(k)]
         )
-        sums.update(zip(period.keys, total / np.diff(period.bounds)[:, None]))
+        mean = total / np.diff(period.bounds)[:, None]
+        loads.update((period.keys[g], mean[g]) for g in needed[t - 1])
         if t > 1:
-            rows = np.array(
-                [feature(key) if key.arm() > 0 else zero for key in period.keys]
-            )
-            load = load + rows[period.codes]
-    return sums
+            rows = np.zeros((n_arm, k))
+            for g in np.flatnonzero(reached[t - 1] & (period.arms > 0)):
+                rows[g] = feature(period.keys[g])
+            load += rows[period.codes]
+    return loads
 
 
 def saturated_pattern(d: Dataset, markov: bool = False) -> PatternSpec:

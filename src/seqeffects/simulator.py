@@ -555,13 +555,18 @@ def parse_dgp(source: str) -> DgpSpec:
     shift = scalars.get("latent shift", 0.0)
     sigma = scalars.get("sigma", 1.0)
 
+    def z_beyond(s):
+        return f"z[{s}] is not realized yet at this point of the law"
+
+    def x_beyond(s):
+        return f"x[{s}] is not realized yet at this point of the law"
+
     def env_for(t, z, x, u):
-        beyond = "is not realized yet at this point of the law"
         env = {
             "t": t,
             "T": horizon,
-            "z": TreatmentView(z, DgpError, beyond),
-            "x": CovariateView(x, DgpError, beyond),
+            "z": TreatmentView(1, z, DgpError, z_beyond),
+            "x": CovariateView(1, x, DgpError, x_beyond),
         }
         if latent_prob > 0.0:
             env["u"] = u

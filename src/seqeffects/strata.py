@@ -6,6 +6,10 @@ sum (y - mean)^2 / (n (n - 1)), which needs n >= 2. Target enumeration
 walks every conditioning stratum and pairs each active treatment arm with
 its control arm; the collapsed variant pools records over everything
 before the previous period.
+
+Targets read each period's arms off `Dataset.periods`, never the trie:
+an arm and its control are runs of records in one flat layout that
+serves both the full-history and the pooled mode.
 """
 
 from __future__ import annotations
@@ -134,53 +138,18 @@ def point_effect_targets(
 
     Returns (targets, skipped) where skipped pairs an active-arm key with
     the reason no contrast exists for it (its control arm is unobserved).
-    Ordering is deterministic: by period, then by key symbols.
+    Ordering is deterministic: by period, then by key symbols. Outcome
+    arrays are views of the period's outcomes.
     """
-    return (_markov_targets(d) if markov else _full_targets(d))
-
-
-def _full_targets(d: Dataset):
-    table = d.table
-    y_sorted = table.y_sorted
     targets: list[PointEffectTarget] = []
     skipped: list[tuple[PointEffectKey, str]] = []
-    for t in range(1, d.horizon + 1):
-        for pkey, pnode in table.level(2 * (t - 1)):
-            arms = pnode.children
-            control = arms.get(0)
-            for z, anode in sorted(arms.items()):
-                if z == 0:
-                    continue
-                akey = pkey.with_treatment(z)
-                if control is None:
-                    skipped.append((akey, "control arm unobserved"))
-                    continue
+    for t, period in enumerate(d.periods(markov), start=1):
+        for g in np.flatnonzero(period.arms).tolist():
+            c = int(period.control[g])
+            if c < 0:
+                skipped.append((period.keys[g], "control arm unobserved"))
+            else:
                 targets.append(
-                    PointEffectTarget(
-                        akey,
-                        t,
-                        y_sorted[anode.lo : anode.hi],
-                        y_sorted[control.lo : control.hi],
-                    )
+                    PointEffectTarget(period.keys[g], t, period.values(g), period.values(c))
                 )
-    return targets, skipped
-
-
-def _markov_targets(d: Dataset):
-    targets: list[PointEffectTarget] = []
-    skipped: list[tuple[PointEffectKey, str]] = []
-    for t, period in enumerate(d.pooled, start=1):
-        index = {key: g for g, key in enumerate(period.keys)}
-        for g, key in enumerate(period.keys):
-            if key.arm() == 0:
-                continue
-            control = index.get(key.sibling(0))
-            if control is None:
-                skipped.append((key, "control arm unobserved"))
-                continue
-            targets.append(
-                PointEffectTarget(
-                    key, t, d.y[period.records(g)], d.y[period.records(control)]
-                )
-            )
     return targets, skipped

@@ -19,6 +19,18 @@ from .keys import StratumKey
 _PROB_SUM_TOL = 1e-9
 
 
+def sort_histories(z: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A stable sort of the records by interleaved history z1, x1, ..., zT,
+    and the history's columns (one per treatment or covariate component)."""
+    horizon = z.shape[1]
+    cols = []
+    for t in range(horizon):
+        cols.append(z[:, t])
+        if t < horizon - 1:
+            cols.extend(x[:, t, j] for j in range(x.shape[2]))
+    return np.lexsort(cols[::-1]), cols
+
+
 class TableNode:
     """One stratum: mass, outcome aggregate, and children by next symbol."""
 
@@ -59,13 +71,12 @@ class MeanTable:
         True when masses are record counts.
     """
 
-    def __init__(self, horizon, covariate_width, root, empirical, y_sorted=None, order=None):
+    def __init__(self, horizon, covariate_width, root, empirical, y_sorted=None):
         self.horizon = horizon
         self.covariate_width = covariate_width
         self.root = root
         self.empirical = empirical
         self.y_sorted = y_sorted
-        self.order = order
         self._levels = None
 
     # -- construction ---------------------------------------------------
@@ -81,15 +92,8 @@ class MeanTable:
         """
         n, horizon = z.shape
         width = x.shape[2] if x.ndim == 3 and x.shape[1] > 0 else 0
-        cols = []
-        for t in range(horizon):
-            cols.append(z[:, t])
-            if t < horizon - 1:
-                for j in range(width):
-                    cols.append(x[:, t, j])
-        flat = np.column_stack(cols) if cols else np.zeros((n, 0), dtype=np.int64)
-        order = np.lexsort(flat.T[::-1]) if flat.shape[1] else np.arange(n)
-        fs = flat[order]
+        order, cols = sort_histories(z, x)
+        fs = np.column_stack(cols)[order]
         y_sorted = np.ascontiguousarray(y[order], dtype=float)
 
         # Column span of each trie level: single column for a treatment,
@@ -120,7 +124,7 @@ class MeanTable:
             return node
 
         root = build(0, n, 0)
-        return cls(horizon, width, root, True, y_sorted, order)
+        return cls(horizon, width, root, True, y_sorted)
 
     @classmethod
     def from_entries(cls, horizon: int, covariate_width: int, entries) -> "MeanTable":

@@ -19,6 +19,7 @@ from seqeffects import (
     point_effect_targets,
 )
 from seqeffects.estimation import FlaggedPair
+from seqeffects.strata import PointEffectTarget
 
 
 def complete_histories(horizon, covariate_width):
@@ -48,14 +49,14 @@ def random_complete_table(rng, horizon, covariate_width=1):
     return MeanTable.from_entries(horizon, width, entries)
 
 
-def downstream_walk(table, node, key, value_fn, zero=0.0):
+def downstream_walk(table, node, key, value_fn):
     """Reference downstream load: walk the whole subtree below one arm.
 
     Adds value_fn(descendant key) times the descendant's share of the
     arm's mass for every active arm below it, one continuation at a time.
     This is the per-target walk the library's memoized kernel replaced.
     """
-    total = zero
+    total = 0.0
     stack = [(node, key)]
     while stack:
         cur, cur_key = stack.pop()
@@ -90,17 +91,49 @@ def walk_decomposition_gap(table, effects):
     return worst
 
 
+def random_panel(seed, horizon, width, n, levels):
+    """n records with uniform treatment codes 0..levels-1 and binary covariates."""
+    rng = np.random.default_rng(seed)
+    z = rng.integers(0, levels, size=(n, horizon))
+    x = rng.integers(0, 2, size=(n, horizon - 1, width))
+    y = rng.normal(50.0, 10.0, size=n)
+    return Dataset(z, x, y, [f"r{i}" for i in range(n)])
+
+
+def full_targets_reference(d):
+    """Full-history targets off the trie: each arm and its control slice
+    the trie's sorted outcomes. This is the enumeration that the per-period
+    arm layout replaced. Returns (targets, skipped) like the library."""
+    table = d.table
+    targets, skipped = [], []
+    for t in range(1, d.horizon + 1):
+        for pkey, pnode in table.level(2 * (t - 1)):
+            control = pnode.children.get(0)
+            for z, anode in sorted(pnode.children.items()):
+                if z == 0:
+                    continue
+                akey = pkey.with_treatment(z)
+                if control is None:
+                    skipped.append((akey, "control arm unobserved"))
+                    continue
+                arm_values = table.y_sorted[anode.lo : anode.hi]
+                control_values = table.y_sorted[control.lo : control.hi]
+                targets.append(PointEffectTarget(akey, t, arm_values, control_values))
+    return targets, skipped
+
+
 def standard_mean_equality_reference(d, variance_mode):
     """Classical equal-means test statistic and df, one record at a time.
 
-    Groups ``d.records`` into covariate profiles and treatment paths with
+    Groups the records into covariate profiles and treatment paths with
     dicts of lists, as the library did before it grouped with arrays.
     Returns (statistic, df); raises EstimabilityError where it must.
     """
     profiles = {}
-    for rec in d.records:
-        p = profiles.setdefault(rec.covariates, {})
-        p.setdefault(rec.treatments, []).append(rec.outcome)
+    for i in range(d.n_records):
+        covariates = tuple(tuple(int(v) for v in vec) for vec in d.x[i])
+        p = profiles.setdefault(covariates, {})
+        p.setdefault(tuple(int(v) for v in d.z[i]), []).append(float(d.y[i]))
     between = 0.0
     df = 0
     ssw = 0.0

@@ -133,9 +133,8 @@ def test_03_pooled_fit_closed_forms():
 def three_group_closed_form(d, sigma2=None):
     """Hand-derived parameters and covariance of the three-group fit."""
     cells = {}
-    for r in d.records:
-        cell = (r.treatments[0], r.covariates[0][0], r.treatments[1])
-        cells.setdefault(cell, []).append(r.outcome)
+    for (z1, z2), x, y in zip(d.z.tolist(), d.x[:, 0, 0].tolist(), d.y.tolist()):
+        cells.setdefault((z1, x, z2), []).append(y)
 
     def stats(sel):
         vals = np.concatenate([np.asarray(cells[c], dtype=float) for c in sel])

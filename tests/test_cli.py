@@ -218,6 +218,19 @@ def test_diagnose_without_targets_says_nothing_was_checked(tmp_path, caplog):
     assert any("no estimable targets" in r.getMessage() for r in caplog.records)
 
 
+def test_diagnose_reports_on_a_panel_with_control_less_arms(tmp_path):
+    data = tmp_path / "mk6.csv"
+    save_dataset(simulate(make_markov_dgp(6), 3000, 4), data)
+    out = tmp_path / "diag.json"
+    code = main(["diagnose", "--data", str(data), "--reps", "100", "--out", str(out)])
+    report = json.loads(out.read_text())
+    decomposition = report["decomposition"]
+    assert decomposition["schema_version"] == 2
+    assert decomposition["flagged"] is False
+    assert decomposition["entries"] and decomposition["skipped"]
+    assert code == (2 if report["flagged"] else 0)
+
+
 def test_suggest_pattern_defaults_to_one_group_per_target(tmp_path, ref_csv):
     out = tmp_path / "disc.json"
     code = main(

@@ -21,12 +21,10 @@ def test_roundtrip_through_csv(tmp_path, d16):
     back = load_dataset(path)
     assert back.horizon == d16.horizon
     assert back.covariate_width == d16.covariate_width
-    assert [r.unit_id for r in back.records] == [r.unit_id for r in d16.records]
-    assert [r.treatments for r in back.records] == [r.treatments for r in d16.records]
-    assert [r.covariates for r in back.records] == [r.covariates for r in d16.records]
-    np.testing.assert_allclose(
-        [r.outcome for r in back.records], [r.outcome for r in d16.records]
-    )
+    assert back.unit_ids == d16.unit_ids
+    assert np.array_equal(back.z, d16.z)
+    assert np.array_equal(back.x, d16.x)
+    np.testing.assert_allclose(back.y, d16.y)
 
 
 @st.composite
@@ -61,8 +59,10 @@ def test_load_from_string():
     d = load_dataset(io.StringIO("unit_id,z1,y\na,0,1.5\nb,1,2.5\n"))
     assert d.horizon == 1
     assert d.covariate_width == 0
-    assert len(d.records) == 2
-    assert d.records[1].treatments == (1,)
+    assert d.n_records == 2
+    assert d.unit_ids == ("a", "b")
+    assert d.z[1].tolist() == [1]
+    assert d.y.tolist() == [1.5, 2.5]
 
 
 def test_header_must_be_bracketed():
@@ -118,10 +118,9 @@ def test_direct_construction_validates_shapes():
 
 
 def test_history_key_and_table_agree(d16):
-    rec = d16.records[0]
     key = d16.history_key(0)
-    assert key.treatments == rec.treatments
-    assert key.covariates == rec.covariates
+    assert key.treatments == tuple(d16.z[0].tolist())
+    assert key.covariates == tuple(tuple(v) for v in d16.x[0].tolist())
     leaf = d16.table.require(key)
     assert leaf.mass >= 1
 

@@ -1,18 +1,13 @@
 import pytest
 
 from seqeffects import PatternError
-from seqeffects.exprlang import (
-    CovariateView,
-    SparseTreatmentView,
-    TreatmentView,
-    compile_expr,
-)
+from seqeffects.exprlang import CovariateView, TreatmentView, compile_expr
 
 
 def env(z=(), x=(), **scalars):
     e = dict(scalars)
-    e["z"] = TreatmentView(z, PatternError, "is not determined here")
-    e["x"] = CovariateView(x, PatternError, "is not determined here")
+    e["z"] = TreatmentView(1, z, PatternError, lambda s: f"z[{s}] is not determined here")
+    e["x"] = CovariateView(1, x, PatternError, lambda s: f"x[{s}] is not determined here")
     return e
 
 
@@ -110,14 +105,21 @@ def test_custom_name_set():
         compile_expr("u * 2")
 
 
-def test_sparse_view_reports_why_a_position_is_gone():
-    view = SparseTreatmentView(
-        {3: 1}, PatternError, lambda s: f"z[{s}] was pooled away"
-    )
+def test_view_from_a_later_position_reports_why_a_position_is_gone():
+    view = TreatmentView(3, (1,), PatternError, lambda s: f"z[{s}] was pooled away")
     assert view[3] == 1
     assert view[0] == 0
     with pytest.raises(PatternError, match=r"z\[1\] was pooled away"):
         view[1]
+    with pytest.raises(PatternError, match=r"z\[4\] was pooled away"):
+        view[4]
+    xs = CovariateView(2, ((5, 6),), PatternError, lambda s: f"x[{s}] was pooled away")
+    assert xs[2][2] == 6
+    assert xs[-1][1] == 0
+    with pytest.raises(PatternError, match=r"x\[1\] was pooled away"):
+        xs[1]
+    with pytest.raises(PatternError, match=r"x\[3\] was pooled away"):
+        xs[3]
 
 
 def test_empty_and_malformed_sources():

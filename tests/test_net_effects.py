@@ -15,7 +15,13 @@ from seqeffects import (
     simulate,
     verify_decomposition,
 )
-from helpers import downstream_walk, random_complete_table, walk_decomposition_gap
+from helpers import (
+    downstream_walk,
+    random_complete_table,
+    random_panel,
+    walk_decomposition_gap,
+)
+from seqeffects.net_effects import _incomplete_arms, _net_effects
 
 
 def test_small_fixture_effects(d16):
@@ -72,11 +78,9 @@ def test_vector_valued_downstream_sum(d16):
     def two_copies(key):
         return np.array([net.effects[key], 2.0 * net.effects[key]])
 
-    zero = np.zeros(2)
-    load = downstream_weighted_sum(d16.table, two_copies, zero)
+    load = downstream_weighted_sum(d16.table, two_copies)
     np.testing.assert_allclose(load(StratumKey((1,), ())), [3.75, 7.5])
     np.testing.assert_allclose(load(StratumKey((0,), ())), [10.0, 20.0])
-    assert not zero.any()
 
 
 def test_kernel_visits_only_what_a_load_needs(d16):
@@ -107,11 +111,10 @@ def arm_values(table, rng, size):
 
 def assert_kernel_matches_walk(table, seed, size):
     values = arm_values(table, np.random.default_rng(seed), size)
-    zero = np.zeros(size) if size else 0.0
-    load = downstream_weighted_sum(table, values.__getitem__, zero)
+    load = downstream_weighted_sum(table, values.__getitem__)
     for depth in range(1, 2 * table.horizon, 2):
         for key, node in table.level(depth):
-            want = downstream_walk(table, node, key, values.__getitem__, zero)
+            want = downstream_walk(table, node, key, values.__getitem__)
             got = load(key, node)
             scale = max(1.0, np.max(np.abs(want)))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
@@ -199,6 +202,78 @@ def test_decomposition_identity_on_simulated_panels(seed, horizon, per_cell):
     table = simulate(make_markov_dgp(horizon), per_cell * 5 ** (horizon - 1), seed).table
     assume(not missing_controls(table))
     assert walk_decomposition_gap(table, compute_net_effects(table).effects) < 1e-12
+
+
+def active_arms(table):
+    return [
+        key
+        for depth in range(1, 2 * table.horizon, 2)
+        for key, _ in table.level(depth)
+        if key.arm() > 0
+    ]
+
+
+def test_verify_skips_arms_with_a_control_less_stratum_below():
+    entries = {
+        ((0, 0), ((0,),)): (0.15, 10.0),
+        ((0, 1), ((0,),)): (0.15, 20.0),
+        ((0, 1), ((1,),)): (0.1, 25.0),  # no (0, x=1, z2=0) cell
+        ((1, 0), ((0,),)): (0.2, 30.0),
+        ((1, 1), ((0,),)): (0.2, 50.0),
+        ((2, 1), ((0,),)): (0.2, 70.0),  # no (2, x=0, z2=0) cell
+    }
+    table = MeanTable.from_entries(2, 1, entries)
+    with pytest.raises(IncompletenessError):
+        compute_net_effects(table)
+    report = verify_decomposition(table)
+    assert [e.key.label() for e in report.entries] == ["z1=0 x1=0 z2=1", "z1=1 x1=0 z2=1"]
+    assert report.max_deviation < 1e-12
+    assert [(k.label(), why) for k, why in report.skipped] == [
+        ("z1=1", "control arm unobserved below its control"),
+        ("z1=2", "control arm unobserved below the arm"),
+        ("z1=0 x1=1 z2=1", "control arm unobserved"),
+        ("z1=2 x1=0 z2=1", "control arm unobserved"),
+    ]
+    blob = report.to_dict()
+    assert blob["schema_version"] == 2
+    assert blob["skipped"][0] == {
+        "key": "z1=1",
+        "reason": "control arm unobserved below its control",
+    }
+
+
+def test_verify_runs_on_a_panel_with_control_less_arms():
+    table = simulate(make_markov_dgp(6), 3000, 4).table
+    assert missing_controls(table)
+    with pytest.raises(IncompletenessError):
+        compute_net_effects(table)
+    report = verify_decomposition(table)
+    assert not report.flagged
+    assert report.entries and report.skipped
+    checked = [e.key for e in report.entries] + [k for k, _ in report.skipped]
+    assert sorted(k.label() for k in checked) == sorted(k.label() for k in active_arms(table))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    horizon=st.integers(1, 4),
+    width=st.integers(1, 2),
+    n=st.integers(6, 80),
+    levels=st.sampled_from([2, 3]),
+)
+def test_partial_net_effects_keep_the_identity_on_incomplete_panels(
+    seed, horizon, width, n, levels
+):
+    table = random_panel(seed, horizon, width, n, levels).table
+    report = verify_decomposition(table)
+    checked = [e.key for e in report.entries] + [k for k, _ in report.skipped]
+    assert sorted(k.label() for k in checked) == sorted(k.label() for k in active_arms(table))
+    assert not report.skipped or missing_controls(table)
+    net = _net_effects(table, _incomplete_arms(table))
+    assert set(net.effects) == {e.key for e in report.entries}
+    assert walk_decomposition_gap(table, net.effects) < 1e-10
+    assert report.max_deviation < 1e-10
 
 
 def test_missing_control_raises_with_labels():

@@ -1,0 +1,86 @@
+"""The per-period arm layout that every fit reads, against the trie.
+
+A full-history arm at period t is a run of equal prefixes z1, ..., zt
+among the records sorted by interleaved history, the same sort the trie
+is built from. So targets and downstream feature loads read off
+`Dataset.periods` must match the trie they replaced: the same targets in
+the same order with equal estimates and variances, and loads equal to a
+walk over each arm's subtree.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import downstream_walk, full_targets_reference, random_panel
+from seqeffects import StratumKey, VarianceMode, point_effect_targets
+from seqeffects.patterns import _downstream_loads
+
+panels = st.builds(
+    random_panel,
+    seed=st.integers(0, 2**32 - 1),
+    horizon=st.integers(1, 4),
+    width=st.integers(1, 2),
+    n=st.integers(6, 80),
+    levels=st.sampled_from([2, 3]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=panels)
+def test_full_targets_match_the_trie(d):
+    targets, skipped = point_effect_targets(d)
+    want, want_skipped = full_targets_reference(d)
+    assert skipped == want_skipped
+    assert [(t.key, t.time) for t in targets] == [(w.key, w.time) for w in want]
+    for got, ref in zip(targets, want):
+        assert np.array_equal(got.arm_values, ref.arm_values)
+        assert np.array_equal(got.control_values, ref.control_values)
+        assert got.estimate == ref.estimate
+        for mode in (VarianceMode.known(2.5), VarianceMode.estimated()):
+            assert got.variance(mode) == ref.variance(mode)
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=panels, size=st.sampled_from([1, 3]), seed=st.integers(0, 2**32 - 1))
+def test_full_loads_match_the_subtree_walk(d, size, seed):
+    table = d.table
+    rng = np.random.default_rng(seed)
+    values = {
+        key: rng.uniform(-50.0, 50.0, size)
+        for depth in range(1, 2 * d.horizon, 2)
+        for key, _ in table.level(depth)
+        if key.arm() > 0
+    }
+    calls = []
+
+    def value(key):
+        calls.append(key)
+        return values[key]
+
+    loads = _downstream_loads(d.periods(False), value, size)
+    targets, _ = point_effect_targets(d)
+    needed = {t.key for t in targets} | {t.key.sibling(0) for t in targets}
+    assert loads.keys() == needed
+    for key in needed:
+        want = downstream_walk(table, table.require(key), key, values.__getitem__)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        np.testing.assert_allclose(loads[key], want, rtol=0, atol=1e-12 * scale)
+    # once per arm, and only at arms strictly below a target arm or control
+    assert len(calls) == len(set(calls))
+    for key in calls:
+        zs, xs = key.treatments, key.covariates
+        above = (StratumKey(zs[:s], xs[: s - 1]) for s in range(1, key.time))
+        assert any(a in needed for a in above), key.label()
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=panels)
+def test_full_arms_list_their_records_in_trie_order(d):
+    table = d.table
+    for t, period in enumerate(d.periods(False), start=1):
+        assert [key for key, _ in table.level(2 * t - 1)] == list(period.keys)
+        for g, (key, node) in enumerate(table.level(2 * t - 1)):
+            assert period.values(g).tobytes() == table.y_sorted[node.lo : node.hi].tobytes()
+            members = period.codes == g
+            assert np.array_equal(np.sort(d.y[members]), np.sort(period.values(g)))

@@ -8,6 +8,7 @@ read off the trie's root arms. For patterns that only read what a pooled
 key retains, the two must agree.
 """
 
+import json
 import re
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_panel
 from seqeffects import (
     Dataset,
     EstimabilityError,
@@ -25,14 +27,17 @@ from seqeffects import (
     VarianceMode,
     build_constraints,
     dataset_from_table,
+    discover_pattern,
     fit_net_effects,
     make_dyadic_markov_dgp,
     parse_pattern,
     point_effect_targets,
     population_table,
     saturated_pattern,
+    save_dataset,
 )
-from seqeffects.patterns import _markov_side_sums
+from seqeffects.cli import main
+from seqeffects.patterns import _downstream_loads
 
 TWO_GROUPS = "group early: when t == 1\ngroup late: when t >= 2\n"
 
@@ -117,14 +122,6 @@ def reference_targets(d):
     return targets, skipped
 
 
-def random_panel(seed, horizon, width, n, levels):
-    rng = np.random.default_rng(seed)
-    z = rng.integers(0, levels, size=(n, horizon))
-    x = rng.integers(0, 2, size=(n, horizon - 1, width))
-    y = rng.normal(50.0, 10.0, size=n)
-    return Dataset(z, x, y, [f"r{i}" for i in range(n)])
-
-
 panels = st.builds(
     random_panel,
     seed=st.integers(0, 2**32 - 1),
@@ -148,27 +145,32 @@ def pooled_patterns(draw, terms=INTEGER_TERMS + REAL_TERMS):
 
 
 def side_sums(d, spec):
-    return _markov_side_sums(d, lambda key: spec.feature_row(key, d.horizon), spec.size)
+    """Loads of every pooled target arm and control, and those keys."""
+    got = _downstream_loads(
+        d.periods(markov=True), lambda key: spec.feature_row(key, d.horizon), spec.size
+    )
+    targets, _ = point_effect_targets(d, markov=True)
+    return got, {t.key for t in targets} | {t.key.sibling(0) for t in targets}
 
 
 @settings(max_examples=80, deadline=None)
 @given(d=panels, spec=pooled_patterns())
 def test_side_sums_match_the_leaf_walk(d, spec):
-    got = side_sums(d, spec)
+    got, keys = side_sums(d, spec)
     want = reference_side_sums(d, spec)
-    assert got.keys() == want.keys()
-    for key, value in want.items():
-        np.testing.assert_allclose(got[key], value, rtol=0, atol=1e-12, err_msg=key.label())
+    assert got.keys() == keys
+    for key in keys:
+        np.testing.assert_allclose(got[key], want[key], rtol=0, atol=1e-12, err_msg=key.label())
 
 
 @settings(max_examples=60, deadline=None)
 @given(d=panels, spec=pooled_patterns(INTEGER_TERMS))
 def test_integer_side_sums_are_bit_equal(d, spec):
-    got = side_sums(d, spec)
+    got, keys = side_sums(d, spec)
     want = reference_side_sums(d, spec)
-    assert got.keys() == want.keys()
-    for key, value in want.items():
-        assert np.array_equal(got[key], value), key.label()
+    assert got.keys() == keys
+    for key in keys:
+        assert np.array_equal(got[key], want[key]), key.label()
 
 
 @settings(max_examples=80, deadline=None)
@@ -191,9 +193,13 @@ def test_targets_match_the_trie_reference(d):
 
 
 def without_control(seed, n):
-    """A T=3 panel whose pooled arm (z2=1, x2=1, z3=1) has no control."""
+    """A T=3 panel whose pooled arm (z2=1, x2=1, z3=1) has no control.
+
+    Both period-1 arms are observed, so every arm sits below a target.
+    """
     d = random_panel(seed, 3, 1, n, 2)
     z, x, y = d.z.copy(), d.x.copy(), d.y.copy()
+    z[:2, 0] = (0, 1)
     z[:2, 1:] = 1
     x[:2, 1, 0] = 1
     keep = ~((z[:, 1] == 1) & (x[:, 1, 0] == 1) & (z[:, 2] == 0))
@@ -234,13 +240,54 @@ def test_exact_dyadic_law_gives_the_population_effects(horizon):
     np.testing.assert_allclose(fit.params, [25.0, 10.0], rtol=0, atol=1e-12)
 
 
-def test_pooled_fit_never_builds_the_trie(monkeypatch):
-    table = population_table(make_dyadic_markov_dgp(3))
-    d = dataset_from_table(table, 2 * 4**4, spread=1.0)
+def test_saturated_pooled_fit_skips_arms_no_target_needs():
+    # Period 1 has no treated arm, so only the period-2 stratum z1=0 x1=0
+    # holds a target, and no target holds the records of either
+    # control-less arm. The fit needs no feature at them.
+    z = [(0, 0, 0)] * 3 + [(0, 1, 0)] * 3 + [(0, 1, 1)] * 3
+    x = [((0,), (0,))] * 6 + [((1,), (1,))] * 3
+    d = Dataset(np.array(z), np.array(x), np.arange(9.0), [f"r{i}" for i in range(9)])
+    skipped = [k for k, _ in point_effect_targets(d, markov=True)[1]]
+    assert skipped == [MarkovKey(2, 0, (1,), 1), MarkovKey(3, 1, (1,), 1)]
+    spec = saturated_pattern(d, markov=True)
+    fit = fit_net_effects(spec, d, VarianceMode.known(1.0), markov=True)
+    fitted = {f["key"]: f for f in fit.to_dict()["fitted_net_effects"]}
+    for key in skipped:
+        assert fitted[key.label()]["value"] is None
+        assert fitted[key.label()]["note"].endswith("no pattern group covers it")
 
+
+def forbid_the_trie(monkeypatch):
     def forbidden(*args):
-        raise AssertionError("pooled fit built the full-history trie")
+        raise AssertionError("a fit built the full-history trie")
 
     monkeypatch.setattr(MeanTable, "from_arrays", classmethod(forbidden))
-    fit = fit_net_effects(parse_pattern(TWO_GROUPS), d, VarianceMode.known(1.0), markov=True)
+
+
+@pytest.mark.parametrize("markov", [False, True])
+def test_fits_never_build_the_trie(monkeypatch, markov):
+    table = population_table(make_dyadic_markov_dgp(3))
+    d = dataset_from_table(table, 2 * 4**4, spread=1.0)
+    forbid_the_trie(monkeypatch)
+    spec = parse_pattern(TWO_GROUPS)
+    fit = fit_net_effects(spec, d, VarianceMode.known(1.0), markov=markov)
     fit.to_dict()
+    discover_pattern(fit)
+
+
+@pytest.mark.parametrize("markov", [False, True])
+def test_cli_estimate_never_builds_the_trie(monkeypatch, tmp_path, markov):
+    d = dataset_from_table(population_table(make_dyadic_markov_dgp(3)), 2 * 4**4, spread=1.0)
+    save_dataset(d, tmp_path / "panel.csv")
+    (tmp_path / "pattern.txt").write_text(TWO_GROUPS)
+    forbid_the_trie(monkeypatch)
+    argv = [
+        "estimate", "--data", str(tmp_path / "panel.csv"),
+        "--pattern", str(tmp_path / "pattern.txt"), "--out", str(tmp_path / "fit.json"),
+    ] + (["--markov"] if markov else [])
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "fit.json").read_text())["fit"]["markov"] is markov
+    argv[0] = "suggest-pattern"
+    argv.remove("--pattern")
+    argv.remove(str(tmp_path / "pattern.txt"))
+    assert main(argv) == 0

@@ -78,15 +78,15 @@ def test_simulate_is_seed_deterministic():
     a = simulate(dgp, 30, seed=3)
     b = simulate(dgp, 30, seed=3)
     c = simulate(dgp, 30, seed=4)
-    assert [r.unit_id for r in a.records] == [f"s{i + 1:06d}" for i in range(30)]
-    assert [r.outcome for r in a.records] == [r.outcome for r in b.records]
-    assert [r.outcome for r in a.records] != [r.outcome for r in c.records]
+    assert list(a.unit_ids) == [f"s{i + 1:06d}" for i in range(30)]
+    assert a.y.tolist() == b.y.tolist()
+    assert a.y.tolist() != c.y.tolist()
 
 
 def test_simulate_draws_roughly_the_right_arm_shares():
     dgp = parse_dgp("horizon: 1\nassign: 0.3\neffect: 2\nsigma: 0.1\n")
     d = simulate(dgp, 4000, seed=11)
-    share = sum(r.treatments[0] for r in d.records) / 4000
+    share = int(d.z[:, 0].sum()) / 4000
     assert share == pytest.approx(0.3, abs=0.03)
 
 
@@ -101,14 +101,14 @@ def test_dataset_from_table_is_exact():
 
     table = MeanTable.from_entries(2, 1, entries)
     d = dataset_from_table(table, scale=16, spread=6.0)
-    assert len(d.records) == 16
+    assert d.n_records == 16
     for (zs, xs), (prob, mean) in entries.items():
         key = StratumKey(zs, xs)
         node = d.table.require(key)
         assert node.mass == round(prob * 16)
         assert node.mean == pytest.approx(mean, abs=1e-12)
     # spread moves individual outcomes off the cell mean without moving it
-    outcomes = [r.outcome for r in d.records if r.treatments == (1, 1)]
+    outcomes = d.y[(d.z == (1, 1)).all(axis=1)]
     assert max(outcomes) > 70.0 > min(outcomes)
 
 

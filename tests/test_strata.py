@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from seqeffects import (
@@ -9,7 +10,6 @@ from seqeffects import (
     grand_mean,
     point_effect_targets,
     stratum_mean_variance,
-    stratum_members,
 )
 
 
@@ -39,12 +39,16 @@ def test_known_variance_must_be_positive_and_finite(text):
         VarianceMode.parse(text)
 
 
-def test_stratum_members_are_record_indices(d16):
-    idx = stratum_members(d16, StratumKey((1,), ((1,),)))
+def test_period_arms_list_record_indices(d16):
+    period = d16.periods(False)[1]
+    idx = set()
+    for g, key in enumerate(period.keys):
+        if key.parent_stratum() == StratumKey((1,), ((1,),)):
+            idx.update(np.flatnonzero(period.codes == g).tolist())
     assert idx == {12, 13, 14, 15}
     for i in idx:
-        assert d16.records[i].treatments[0] == 1
-        assert d16.records[i].covariates[0] == (1,)
+        assert d16.z[i, 0] == 1
+        assert d16.x[i, 0].tolist() == [1]
 
 
 def test_point_effect_targets_cover_every_arm(d16):
