@@ -76,12 +76,7 @@ from .simulator import (
     population_table,
     simulate,
 )
-from .strata import (
-    VarianceMode,
-    grand_mean,
-    point_effect_targets,
-    stratum_mean_variance,
-)
+from .strata import VarianceMode, point_effect_targets
 from .tables import MeanTable
 
 __version__ = "0.1.0"
@@ -128,7 +123,6 @@ __all__ = [
     "expected_target_covariance",
     "extract_point_params",
     "fit_net_effects",
-    "grand_mean",
     "load_dataset",
     "make_confounded_dgp",
     "make_dyadic_markov_dgp",
@@ -151,6 +145,5 @@ __all__ = [
     "save_dataset",
     "simulate",
     "standard_mean_equality_test",
-    "stratum_mean_variance",
     "verify_decomposition",
 ]

@@ -9,16 +9,17 @@ integer covariate components x, and a real outcome y measured after the
 last treatment. One file holds one study population.
 
 A Dataset indexes its records two ways. `Dataset.periods` lists each
-period's treatment arms as flat arrays, full-history or pooled; targets
-and every pattern fit read only these. `Dataset.table` is the
-history-prefix trie behind the exact recursion, the oracle and the
-diagnostics.
+period's treatment arms as flat arrays, full-history or pooled, and alone
+knows where a record sits; targets, fits and diagnostics read only these.
+`Dataset.table` is the history-prefix trie of masses and means behind the
+exact recursion, the oracle and the decomposition check.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,9 +81,10 @@ def _period_arms(order, cols, key, outcomes) -> PeriodArms:
 class Dataset:
     """Immutable record collection with two indexes over the records.
 
-    `periods` lists each period's treatment arms as flat arrays, which is
-    all that point-effect targets and pattern fits read; `table` is the
-    history-prefix trie behind the exact recursion and the diagnostics.
+    `periods` lists each period's treatment arms as flat arrays, and owns
+    the record order that targets, pattern fits and the resampling
+    diagnostic read; `table` is the history-prefix trie of masses and
+    means behind the exact recursion and the decomposition check.
 
     Attributes
     ----------
@@ -97,16 +99,21 @@ class Dataset:
     def __init__(self, z, x, y, unit_ids):
         z = np.asarray(z, dtype=np.int64)
         y = np.asarray(y, dtype=float)
+        if z.ndim != 2:
+            raise UsageError(f"treatment array must be (n, horizon), not {z.shape}")
         n, horizon = z.shape
         if n < 1:
             raise DomainError("a dataset needs at least one record")
         if horizon < 1:
             raise DomainError("the horizon must be at least 1")
+        if y.shape != (n,):
+            raise UsageError(f"outcome array must be ({n},), not {y.shape}")
         width = 0
         if horizon > 1:
             x = np.asarray(x, dtype=np.int64)
-            if x.shape[:2] != (n, horizon - 1):
-                raise UsageError("covariate array must be (n, horizon-1, width)")
+            if x.ndim != 3 or x.shape[:2] != (n, horizon - 1):
+                shape = f"({n}, {horizon - 1}, width)"
+                raise UsageError(f"covariate array must be {shape}, not {x.shape}")
             width = x.shape[2]
         else:
             x = np.zeros((n, 0, 0), dtype=np.int64)
@@ -141,10 +148,11 @@ class Dataset:
         """Arms of periods 1..T, full-history or pooled (built once each).
 
         A full-history arm at period t is a run of equal prefixes
-        z1, x1, ..., zt among the records sorted by interleaved history,
-        so its outcomes are in the trie's order. A pooled arm at t > 1
-        gathers the records sharing the signature (z[t-1], x[t-1], z[t]),
-        in record order; period 1 keeps its arms z1 in both modes.
+        z1, x1, ..., zt among the records stably sorted by interleaved
+        history; all full-history periods share that one order. A pooled
+        arm at t > 1 gathers the records sharing the signature
+        (z[t-1], x[t-1], z[t]), in record order; period 1 keeps its arms
+        z1 in both modes.
         """
         if markov not in self._periods:
             build = self._pooled_periods if markov else self._full_periods
@@ -202,8 +210,9 @@ def load_dataset(source) -> Dataset:
     """Parse a CSV byte/text stream or path into a Dataset.
 
     Raises ParseError (malformed text, naming the offending 1-based file
-    line) or DomainError (negative codes). The header fixes T and the
-    covariate width; every data row must match its arity exactly.
+    line) or DomainError (negative codes or non-finite outcomes, naming
+    the line too). The header fixes T and the covariate width; every data
+    row must match its arity exactly.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
@@ -282,6 +291,8 @@ def _parse_csv(fh) -> Dataset:
             y_val = float(row[-1])
         except ValueError:
             raise ParseError(f"row {line_no}: non-numeric outcome {row[-1]!r}") from None
+        if not math.isfinite(y_val):
+            raise DomainError(f"row {line_no}: non-finite outcome {row[-1]!r}")
         if any(v < 0 for v in z_row) or any(v < 0 for v in x_flat):
             raise DomainError(f"row {line_no}: negative treatment/covariate code")
         zs.append(z_row)

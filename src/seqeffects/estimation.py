@@ -6,6 +6,7 @@ parameters, weights are inverse target variances. On a saturated pattern
 the system is square and consistent, so the fit reproduces every target
 exactly; smaller patterns trade fidelity for stability, and the residual
 block of the report is the place to look when a pattern is too coarse.
+Everything here reads records through `Dataset.periods`, never the trie.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, PeriodArms
 from .errors import (
     CoverageError,
     DiagnosticError,
     EstimabilityError,
     IdentifiabilityError,
+    UsageError,
 )
 from .exprlang import compile_expr
 from .keys import PointEffectKey, StratumKey
@@ -444,20 +446,25 @@ class ResamplingReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
+def _cell_means(d: Dataset) -> tuple[PeriodArms, list[float]]:
+    """The full-history cells, which are the period-T arms, and their means."""
+    cells = d.periods(False)[-1]
+    segs = map(cells.values, range(len(cells.keys)))
+    return cells, [float(seg.sum()) / seg.size for seg in segs]
+
+
 def pooled_outcome_variance(d: Dataset) -> float:
-    """Within-cell outcome variance pooled over the deepest strata."""
-    table = d.table
-    leaves = table.level(2 * d.horizon - 1)
+    """Within-cell outcome variance pooled over the full-history cells."""
+    cells, means = _cell_means(d)
     n = d.n_records
-    if n <= len(leaves):
+    if n <= len(means):
         raise EstimabilityError(
             "pooled variance needs more records than occupied cells"
         )
     ssw = 0.0
-    for _, node in leaves:
-        seg = table.y_sorted[node.lo : node.hi]
-        ssw += float(np.sum((seg - node.derived_mean) ** 2))
-    return ssw / (n - len(leaves))
+    for g, mean in enumerate(means):
+        ssw += float(np.sum((cells.values(g) - mean) ** 2))
+    return ssw / (n - len(means))
 
 
 def expected_target_covariance(d: Dataset, sigma2: float = 1.0) -> tuple[list, np.ndarray]:
@@ -466,7 +473,7 @@ def expected_target_covariance(d: Dataset, sigma2: float = 1.0) -> tuple[list, n
     Distinct targets are uncorrelated unless they contrast different
     active arms against the same control records, which contributes the
     control-mean variance to the pair. So the matrix is block-diagonal,
-    one block per parent stratum; it is filled block by block, in
+    one block per control arm of a period; it is filled block by block, in
     O(m + sum of squared block sizes) time, but returned dense.
     """
     targets, _ = point_effect_targets(d)
@@ -477,9 +484,9 @@ def expected_target_covariance(d: Dataset, sigma2: float = 1.0) -> tuple[list, n
             "take %d bytes",
             m, m, m, 2 * 8 * m * m,
         )
-    blocks: dict[StratumKey, list[int]] = {}
+    blocks: dict[tuple[int, int], list[int]] = {}
     for i, t in enumerate(targets):
-        blocks.setdefault(t.key.parent_stratum(), []).append(i)
+        blocks.setdefault((t.time, t.control), []).append(i)
     cov = np.zeros((m, m))
     for members in blocks.values():
         if len(members) > 1:
@@ -495,7 +502,7 @@ def resampling_diagnostic(
 ) -> ResamplingReport:
     """Check the target covariance model by resimulating outcomes.
 
-    Redraws every outcome around its own deepest-stratum mean, re-forms
+    Redraws every outcome around its own full-history cell mean, re-forms
     the target estimates, and compares their empirical covariance to the
     model-implied one: variances at 3 Monte Carlo standard errors,
     covariances at 4. Replication r draws from its own seed stream
@@ -519,21 +526,19 @@ def resampling_diagnostic(
     if reps < 100:
         notes.append(f"{reps} replications is noisy; flags may be spurious")
         log.warning("resampling diagnostic with %d replications is noisy", reps)
-    table = d.table
     n = d.n_records
-    mu = np.empty(n)
-    for leaf_key, leaf in table.level(2 * d.horizon - 1):
-        mu[leaf.lo : leaf.hi] = leaf.derived_mean
+    cells, means = _cell_means(d)
+    mu = np.repeat(means, np.diff(cells.bounds))
     sigma = math.sqrt(sigma2)
     # One column per distinct arm or control span; controls are shared.
+    # All full-history periods share one record order, that of mu.
     spans: dict[tuple[int, int], int] = {}
 
-    def column(key: StratumKey) -> int:
-        node = table.require(key)
-        return spans.setdefault((node.lo, node.hi), len(spans))
+    def column(bounds: np.ndarray, g: int) -> int:
+        return spans.setdefault((int(bounds[g]), int(bounds[g + 1])), len(spans))
 
-    arm_cols = np.array([column(t.key) for t in targets])
-    control_cols = np.array([column(t.key.sibling(0)) for t in targets])
+    arm_cols = np.array([column(t.period.bounds, t.arm) for t in targets])
+    control_cols = np.array([column(t.period.bounds, t.control) for t in targets])
     est = np.empty((reps, len(targets)))
     rows = min(reps, max(1, _RESAMPLE_BLOCK_BYTES // (8 * n)))
     buffer = np.empty((rows, n))
@@ -624,6 +629,8 @@ def discover_pattern(fit: NetEffectFit, alpha: float = 0.05) -> DiscoveryReport:
     carried over unchanged. The suggestion is a starting point for a
     refit, not a claim that the merged pattern is true.
     """
+    if not 0.0 < alpha < 1.0:
+        raise UsageError(f"alpha must lie strictly between 0 and 1, not {alpha!r}")
     spec = fit.pattern
     g = len(spec.groups)
     if g < 2:

@@ -1,35 +1,33 @@
-"""Stratum-level statistics: mean variances and point-effect targets.
+"""Point-effect targets and the variances of their arm means.
 
 Mean variances come in two modes: a known outcome variance sigma^2
-(divided by the stratum count) or the within-stratum estimate
+(divided by the arm count) or the within-arm estimate
 sum (y - mean)^2 / (n (n - 1)), which needs n >= 2. Target enumeration
 walks every conditioning stratum and pairs each active treatment arm with
 its control arm; the collapsed variant pools records over everything
 before the previous period.
 
-Targets read each period's arms off `Dataset.periods`, never the trie:
-an arm and its control are runs of records in one flat layout that
-serves both the full-history and the pooled mode.
+Targets read each period's arms off `Dataset.periods`, never the trie,
+and keep their indices there: an arm and its control are runs of records
+in the one flat layout that serves both the full-history and the pooled
+mode.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, PeriodArms
 from .errors import EstimabilityError, UsageError
-from .keys import PointEffectKey, StratumKey
-
-log = logging.getLogger(__name__)
+from .keys import PointEffectKey
 
 
 @dataclass(frozen=True)
 class VarianceMode:
-    """How var{stratum mean} is computed: known sigma^2 or estimated."""
+    """How var{arm mean} is computed: known sigma^2 or estimated."""
 
     kind: str
     sigma2: float = 1.0
@@ -80,34 +78,31 @@ def _mean_variance(values: np.ndarray, mode: VarianceMode) -> float:
     return float(((values - mean) ** 2).sum()) / (n * (n - 1))
 
 
-def stratum_mean_variance(d: Dataset, key: StratumKey, mode: VarianceMode) -> float:
-    node = d.table.node(key)
-    if node is None:
-        raise EstimabilityError(f"stratum {key.label()} is empty")
-    values = d.table.y_sorted[node.lo : node.hi]
-    return _mean_variance(values, mode)
-
-
-def grand_mean(d: Dataset) -> float:
-    """Arithmetic mean of every outcome (the depth-0 stratum mean)."""
-    return d.table.root.mean
-
-
 # -- point-effect targets ------------------------------------------------
 
 
 @dataclass
 class PointEffectTarget:
-    """One estimable (or skippable) contrast: an active arm vs control.
+    """One estimable contrast: an active arm against its stratum's control.
 
-    Holds the outcome value views for both arms so callers can compute
-    either variance mode without re-slicing.
+    `arm` and `control` index the arms of `period`, the layout the
+    target was enumerated from, so callers can compute either variance
+    mode or locate the records without re-slicing.
     """
 
     key: PointEffectKey
     time: int
-    arm_values: np.ndarray
-    control_values: np.ndarray
+    period: PeriodArms
+    arm: int
+    control: int
+
+    @property
+    def arm_values(self) -> np.ndarray:
+        return self.period.values(self.arm)
+
+    @property
+    def control_values(self) -> np.ndarray:
+        return self.period.values(self.control)
 
     @property
     def arm_count(self) -> int:
@@ -149,7 +144,5 @@ def point_effect_targets(
             if c < 0:
                 skipped.append((period.keys[g], "control arm unobserved"))
             else:
-                targets.append(
-                    PointEffectTarget(period.keys[g], t, period.values(g), period.values(c))
-                )
+                targets.append(PointEffectTarget(period.keys[g], t, period, g, c))
     return targets, skipped

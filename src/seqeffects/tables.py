@@ -4,9 +4,11 @@ One structure serves both evaluation modes: an empirical table built from a
 dataset (node masses are integer record counts) and an exact table built
 from an explicit joint law over full histories (masses are probabilities).
 A stratum's share of its parent is the ratio of the two node masses.
-Internal-node means are always the mass-weighted aggregate of the leaves
-below, which is what the recursive computations consume; `perturb_mean` can plant a stored
-override on top for diagnostics, and plain reads report it.
+The table keeps masses and means only; where a record sits is known to
+`Dataset.periods` alone. Internal-node means are always the mass-weighted
+aggregate of the leaves below, which is what the recursive computations
+consume; `perturb_mean` can plant a stored override on top for
+diagnostics, and plain reads report it.
 """
 
 from __future__ import annotations
@@ -34,14 +36,12 @@ def sort_histories(z: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, list[np.nd
 class TableNode:
     """One stratum: mass, outcome aggregate, and children by next symbol."""
 
-    __slots__ = ("mass", "ysum", "children", "lo", "hi", "override")
+    __slots__ = ("mass", "ysum", "children", "override")
 
-    def __init__(self, mass, ysum, lo=-1, hi=-1):
+    def __init__(self, mass, ysum):
         self.mass = mass
         self.ysum = ysum
         self.children: dict = {}
-        self.lo = lo
-        self.hi = hi
         self.override = None
 
     @property
@@ -67,16 +67,12 @@ class MeanTable:
     root : TableNode
         Trie root over observed prefixes. Unobserved strata are simply
         absent, never materialized.
-    empirical : bool
-        True when masses are record counts.
     """
 
-    def __init__(self, horizon, covariate_width, root, empirical, y_sorted=None):
+    def __init__(self, horizon, covariate_width, root):
         self.horizon = horizon
         self.covariate_width = covariate_width
         self.root = root
-        self.empirical = empirical
-        self.y_sorted = y_sorted
         self._levels = None
 
     # -- construction ---------------------------------------------------
@@ -86,15 +82,14 @@ class MeanTable:
         """Build the empirical table for records (z, x, y).
 
         z is (N, T) int, x is (N, T-1, w) int, y is (N,) float. Records are
-        sorted once by interleaved history; every stratum is then a
-        contiguous slice, and each node keeps its (lo, hi) range so that
-        member lookups cost O(prefix length).
+        sorted once by interleaved history, so that every stratum is a
+        contiguous slice to count and sum.
         """
         n, horizon = z.shape
         width = x.shape[2] if x.ndim == 3 and x.shape[1] > 0 else 0
         order, cols = sort_histories(z, x)
         fs = np.column_stack(cols)[order]
-        y_sorted = np.ascontiguousarray(y[order], dtype=float)
+        outcomes = np.ascontiguousarray(y[order], dtype=float)
 
         # Column span of each trie level: single column for a treatment,
         # `width` columns for a covariate vector.
@@ -108,7 +103,7 @@ class MeanTable:
                 c += width
 
         def build(lo: int, hi: int, level: int) -> TableNode:
-            node = TableNode(hi - lo, float(y_sorted[lo:hi].sum()), lo, hi)
+            node = TableNode(hi - lo, float(outcomes[lo:hi].sum()))
             if level < len(spans):
                 a, b, is_treatment = spans[level]
                 seg = fs[lo:hi, a:b]
@@ -124,7 +119,7 @@ class MeanTable:
             return node
 
         root = build(0, n, 0)
-        return cls(horizon, width, root, True, y_sorted)
+        return cls(horizon, width, root)
 
     @classmethod
     def from_entries(cls, horizon: int, covariate_width: int, entries) -> "MeanTable":
@@ -166,7 +161,7 @@ class MeanTable:
                 sort_children(child)
 
         sort_children(root)
-        return cls(horizon, width, root, False)
+        return cls(horizon, width, root)
 
     # -- navigation -----------------------------------------------------
 

@@ -19,7 +19,6 @@ from seqeffects import (
     point_effect_targets,
 )
 from seqeffects.estimation import FlaggedPair
-from seqeffects.strata import PointEffectTarget
 
 
 def complete_histories(horizon, covariate_width):
@@ -100,26 +99,66 @@ def random_panel(seed, horizon, width, n, levels):
     return Dataset(z, x, y, [f"r{i}" for i in range(n)])
 
 
+def history_order(d):
+    """Record indices in a stable sort by interleaved history z1, x1, ..., zT."""
+    cols = []
+    for t in range(d.horizon):
+        cols.append(d.z[:, t])
+        if t < d.horizon - 1:
+            cols.extend(d.x[:, t].T)
+    return np.lexsort(cols[::-1])
+
+
+def prefix_mask(d, key):
+    """Which records' histories start with the full-history prefix `key`."""
+    t = key.time
+    mask = np.all(d.z[:, :t] == key.treatments, axis=1)
+    if t > 1:
+        mask &= np.all(d.x[:, : t - 1] == np.array(key.covariates), axis=(1, 2))
+    return mask
+
+
 def full_targets_reference(d):
-    """Full-history targets off the trie: each arm and its control slice
-    the trie's sorted outcomes. This is the enumeration that the per-period
-    arm layout replaced. Returns (targets, skipped) like the library."""
+    """Full-history targets: every active arm of the trie against its
+    stratum's control, each holding the outcomes of the records a prefix
+    mask selects, listed in the stable history sort. This is the
+    enumeration that the per-period arm layout replaced. Returns
+    (targets, skipped), targets as (key, time, arm values, control values)."""
     table = d.table
+    order = history_order(d)
     targets, skipped = [], []
     for t in range(1, d.horizon + 1):
         for pkey, pnode in table.level(2 * (t - 1)):
-            control = pnode.children.get(0)
-            for z, anode in sorted(pnode.children.items()):
+            for z in sorted(pnode.children):
                 if z == 0:
                     continue
                 akey = pkey.with_treatment(z)
-                if control is None:
+                if 0 not in pnode.children:
                     skipped.append((akey, "control arm unobserved"))
                     continue
-                arm_values = table.y_sorted[anode.lo : anode.hi]
-                control_values = table.y_sorted[control.lo : control.hi]
-                targets.append(PointEffectTarget(akey, t, arm_values, control_values))
+                arm, control = (
+                    d.y[order[prefix_mask(d, key)[order]]]
+                    for key in (akey, akey.sibling(0))
+                )
+                targets.append((akey, t, arm, control))
     return targets, skipped
+
+
+def pooled_outcome_variance_reference(d):
+    """Within-cell outcome variance, one leaf of the trie at a time.
+
+    Each full-history cell's records come from a prefix mask, in record
+    order. This is the leaf loop that reading the period-T arms replaced.
+    """
+    leaves = d.table.level(2 * d.horizon - 1)
+    n = d.n_records
+    if n <= len(leaves):
+        raise EstimabilityError("pooled variance needs more records than occupied cells")
+    ssw = 0.0
+    for key, node in leaves:
+        seg = d.y[prefix_mask(d, key)]
+        ssw += float(np.sum((seg - node.derived_mean) ** 2))
+    return ssw / (n - len(leaves))
 
 
 def standard_mean_equality_reference(d, variance_mode):
@@ -186,26 +225,34 @@ def resampling_reference(d, reps, seed, sigma2, notes=()):
     """Resampling diagnostic with one replication and one target at a time.
 
     Redraws outcomes as ``mu + sigma * standard_normal(n)`` from the seed
-    stream ``(seed, r)``, re-forms every target from 1-D slices, and flags
+    stream ``(seed, r)``, re-forms every target from the records its
+    prefix masks select, and flags
     pairs one at a time. This is the reps-by-targets loop the library's
     blocked version replaced; ``notes`` are passed through to the report.
     Needs reps >= 2 and at least one target.
     """
     targets, expected = expected_covariance_reference(d, sigma2)
     m = len(targets)
-    table = d.table
     n = d.n_records
+    # Outcomes are redrawn at the records' positions in the stable
+    # history sort, and every arm mean runs over them in that order.
+    order = history_order(d)
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
     mu = np.empty(n)
-    for _, leaf in table.level(2 * d.horizon - 1):
-        mu[leaf.lo : leaf.hi] = leaf.derived_mean
+    for key, leaf in d.table.level(2 * d.horizon - 1):
+        mu[position[prefix_mask(d, key)]] = leaf.derived_mean
     sigma = math.sqrt(sigma2)
-    spans = [(table.require(t.key), table.require(t.key.sibling(0))) for t in targets]
+    spans = [
+        [np.sort(position[prefix_mask(d, key)]) for key in (t.key, t.key.sibling(0))]
+        for t in targets
+    ]
     est = np.empty((reps, m))
     for r in range(reps):
         rng = np.random.default_rng([seed, r])
         y = mu + sigma * rng.standard_normal(n)
         for j, (arm, control) in enumerate(spans):
-            est[r, j] = y[arm.lo : arm.hi].mean() - y[control.lo : control.hi].mean()
+            est[r, j] = y[arm].mean() - y[control].mean()
     empirical = np.cov(est, rowvar=False).reshape(m, m)
     flagged_var = []
     flagged_cov = []

@@ -250,6 +250,17 @@ def test_suggest_pattern_defaults_to_one_group_per_target(tmp_path, ref_csv):
     assert frozenset(["g2", "g3", "g4"]) in components
 
 
+@pytest.mark.parametrize("alpha", ["2", "0", "-1", "nan"])
+def test_suggest_pattern_rejects_a_level_outside_the_unit_interval(
+    tmp_path, ref_csv, capsys, alpha
+):
+    out = tmp_path / "disc.json"
+    code = main(["suggest-pattern", "--data", ref_csv, "--alpha", alpha, "--out", str(out)])
+    assert code == 1
+    assert "alpha must lie strictly between 0 and 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_suggest_pattern_names_unidentified_strata(tmp_path, capsys):
     # At T=8 many active arms have no control; the saturated default
     # pattern cannot pool them, so their net effects are unidentified.

@@ -10,6 +10,7 @@ from seqeffects import (
     Dataset,
     DomainError,
     ParseError,
+    UsageError,
     load_dataset,
     save_dataset,
 )
@@ -98,6 +99,13 @@ def test_non_numeric_outcome_rejected():
         load_dataset(io.StringIO("unit_id,z1,y\na,0,abc\n"))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_non_finite_outcome_names_its_row(value):
+    text = f"unit_id,z1,y\na,0,1.5\nb,1,{value}\n"
+    with pytest.raises(DomainError, match=f"row 3: non-finite outcome '{value}'"):
+        load_dataset(io.StringIO(text))
+
+
 def test_short_row_rejected():
     with pytest.raises(ParseError):
         load_dataset(io.StringIO("unit_id,z1,z2,x1_1,y\na,0,1\n"))
@@ -115,6 +123,24 @@ def test_direct_construction_validates_shapes():
         Dataset(np.array([[0], [1]]), np.zeros((2, 0, 0)), np.array([1.0, np.nan]), ["a", "b"])
     with pytest.raises(DomainError):
         Dataset(np.array([[-1]]), np.zeros((1, 0, 0)), np.array([1.0]), ["a"])
+
+
+def test_outcomes_must_match_the_record_count():
+    z, x = np.zeros((4, 2), dtype=int), np.zeros((4, 1, 1), dtype=int)
+    ids = list("abcd")
+    for y in (np.arange(6.0), np.arange(3.0), np.zeros((4, 1))):
+        with pytest.raises(UsageError, match=r"outcome array must be \(4,\)"):
+            Dataset(z, x, y, ids)
+
+
+def test_covariates_must_be_three_dimensional():
+    with pytest.raises(UsageError, match=r"covariate array must be \(4, 1, width\)"):
+        Dataset(np.zeros((4, 2), dtype=int), np.zeros((4, 1)), np.arange(4.0), list("abcd"))
+
+
+def test_treatments_must_be_two_dimensional():
+    with pytest.raises(UsageError, match=r"treatment array must be \(n, horizon\)"):
+        Dataset(np.zeros(4, dtype=int), np.zeros((4, 0, 0)), np.arange(4.0), list("abcd"))
 
 
 def test_history_key_and_table_agree(d16):

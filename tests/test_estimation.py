@@ -13,6 +13,7 @@ from seqeffects import (
     DiagnosticError,
     EstimabilityError,
     IdentifiabilityError,
+    UsageError,
     VarianceMode,
     discover_pattern,
     expected_target_covariance,
@@ -32,6 +33,7 @@ from seqeffects import estimation
 from helpers import (
     complete_histories,
     expected_covariance_reference,
+    pooled_outcome_variance_reference,
     resampling_reference,
     standard_mean_equality_reference,
 )
@@ -268,6 +270,18 @@ def test_pooled_outcome_variance(d16):
     assert pooled_outcome_variance(d16) == pytest.approx(94.25)
 
 
+@settings(max_examples=120, deadline=None)
+@given(d=small_panels())
+def test_pooled_outcome_variance_matches_the_leaf_loop(d):
+    try:
+        want = pooled_outcome_variance_reference(d)
+    except EstimabilityError as exc:
+        with pytest.raises(EstimabilityError, match=str(exc)):
+            pooled_outcome_variance(d)
+        return
+    assert pooled_outcome_variance(d) == want
+
+
 def test_expected_covariance_is_diagonal_for_binary_arms(d16):
     targets, V = expected_target_covariance(d16, sigma2=1.0)
     assert len(targets) == 5
@@ -413,3 +427,10 @@ def test_discovery_merges_equal_groups(dref):
     # the merged pattern also survives a text round trip
     reparsed = parse_pattern(report.pattern.to_text())
     assert reparsed.param_names == report.pattern.param_names
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -1.0, 2.0, float("nan"), float("inf")])
+def test_discovery_rejects_a_level_outside_the_unit_interval(dref, alpha):
+    fit = fit_net_effects(saturated_pattern(dref), dref, VarianceMode.estimated())
+    with pytest.raises(UsageError, match="strictly between 0 and 1"):
+        discover_pattern(fit, alpha=alpha)

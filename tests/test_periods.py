@@ -1,10 +1,10 @@
 """The per-period arm layout that every fit reads, against the trie.
 
 A full-history arm at period t is a run of equal prefixes z1, ..., zt
-among the records sorted by interleaved history, the same sort the trie
-is built from. So targets and downstream feature loads read off
-`Dataset.periods` must match the trie they replaced: the same targets in
-the same order with equal estimates and variances, and loads equal to a
+among the records stably sorted by interleaved history. So targets and
+downstream feature loads read off `Dataset.periods` must match the
+enumeration they replaced: the same targets in the same order, holding
+the records a prefix mask selects in that sort, and loads equal to a
 walk over each arm's subtree.
 """
 
@@ -12,7 +12,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import downstream_walk, full_targets_reference, random_panel
+from helpers import (
+    downstream_walk,
+    full_targets_reference,
+    history_order,
+    prefix_mask,
+    random_panel,
+)
 from seqeffects import StratumKey, VarianceMode, point_effect_targets
 from seqeffects.patterns import _downstream_loads
 
@@ -32,13 +38,17 @@ def test_full_targets_match_the_trie(d):
     targets, skipped = point_effect_targets(d)
     want, want_skipped = full_targets_reference(d)
     assert skipped == want_skipped
-    assert [(t.key, t.time) for t in targets] == [(w.key, w.time) for w in want]
-    for got, ref in zip(targets, want):
-        assert np.array_equal(got.arm_values, ref.arm_values)
-        assert np.array_equal(got.control_values, ref.control_values)
-        assert got.estimate == ref.estimate
-        for mode in (VarianceMode.known(2.5), VarianceMode.estimated()):
-            assert got.variance(mode) == ref.variance(mode)
+    assert [(t.key, t.time) for t in targets] == [(w[0], w[1]) for w in want]
+    for got, (_, _, arm, control) in zip(targets, want):
+        assert np.array_equal(got.arm_values, arm)
+        assert np.array_equal(got.control_values, control)
+        assert got.estimate == float(arm.mean()) - float(control.mean())
+        assert got.variance(VarianceMode.known(2.5)) == 2.5 / arm.size + 2.5 / control.size
+        if min(arm.size, control.size) < 2:
+            assert got.variance(VarianceMode.estimated()) == np.inf
+            continue
+        ref_var = np.var(arm, ddof=1) / arm.size + np.var(control, ddof=1) / control.size
+        assert abs(got.variance(VarianceMode.estimated()) - ref_var) <= 1e-12 * max(1.0, ref_var)
 
 
 @settings(max_examples=80, deadline=None)
@@ -76,11 +86,12 @@ def test_full_loads_match_the_subtree_walk(d, size, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(d=panels)
-def test_full_arms_list_their_records_in_trie_order(d):
+def test_full_arms_list_their_records_in_history_order(d):
     table = d.table
+    order = history_order(d)
     for t, period in enumerate(d.periods(False), start=1):
         assert [key for key, _ in table.level(2 * t - 1)] == list(period.keys)
-        for g, (key, node) in enumerate(table.level(2 * t - 1)):
-            assert period.values(g).tobytes() == table.y_sorted[node.lo : node.hi].tobytes()
-            members = period.codes == g
-            assert np.array_equal(np.sort(d.y[members]), np.sort(period.values(g)))
+        for g, key in enumerate(period.keys):
+            mask = prefix_mask(d, key)
+            assert np.array_equal(period.codes == g, mask)
+            assert period.values(g).tobytes() == d.y[order[mask[order]]].tobytes()

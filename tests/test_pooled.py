@@ -3,8 +3,8 @@
 Pooled fits run on per-period signature arrays. The reference here is the
 computation they replaced: downstream feature loads summed along every
 leaf of the full-history trie, with features evaluated at full-history
-keys and averaged by leaf mass over each pooled arm, and time-1 targets
-read off the trie's root arms. For patterns that only read what a pooled
+keys and averaged by leaf mass over each pooled arm, and targets read
+off masks over the records. For patterns that only read what a pooled
 key retains, the two must agree.
 """
 
@@ -28,13 +28,18 @@ from seqeffects import (
     build_constraints,
     dataset_from_table,
     discover_pattern,
+    expected_target_covariance,
     fit_net_effects,
     make_dyadic_markov_dgp,
+    net_effect_null_test,
     parse_pattern,
     point_effect_targets,
+    pooled_outcome_variance,
     population_table,
+    resampling_diagnostic,
     saturated_pattern,
     save_dataset,
+    standard_mean_equality_test,
 )
 from seqeffects.cli import main
 from seqeffects.patterns import _downstream_loads
@@ -82,25 +87,17 @@ def reference_side_sums(d, spec):
 
 
 def reference_targets(d):
-    """(key, time, arm values, control values) and skipped keys, trie at t=1."""
-    table = d.table
+    """(key, time, arm values, control values) and skipped keys."""
     targets, skipped = [], []
-    control = table.root.children.get(0)
-    for z, anode in sorted(table.root.children.items()):
+    z1 = d.z[:, 0]
+    for z in sorted(int(v) for v in np.unique(z1)):
         if z == 0:
             continue
         key = StratumKey((z,), ())
-        if control is None:
+        if not (z1 == 0).any():
             skipped.append(key)
             continue
-        targets.append(
-            (
-                key,
-                1,
-                table.y_sorted[anode.lo : anode.hi],
-                table.y_sorted[control.lo : control.hi],
-            )
-        )
+        targets.append((key, 1, d.y[z1 == z], d.y[z1 == 0]))
     for t in range(2, d.horizon + 1):
         zt = d.z[:, t - 1]
         stacked = np.column_stack([d.z[:, t - 2], d.x[:, t - 2, :]])
@@ -259,7 +256,7 @@ def test_saturated_pooled_fit_skips_arms_no_target_needs():
 
 def forbid_the_trie(monkeypatch):
     def forbidden(*args):
-        raise AssertionError("a fit built the full-history trie")
+        raise AssertionError("the full-history trie was built")
 
     monkeypatch.setattr(MeanTable, "from_arrays", classmethod(forbidden))
 
@@ -291,3 +288,14 @@ def test_cli_estimate_never_builds_the_trie(monkeypatch, tmp_path, markov):
     argv.remove("--pattern")
     argv.remove(str(tmp_path / "pattern.txt"))
     assert main(argv) == 0
+
+
+def test_diagnostics_and_tests_never_build_the_trie(monkeypatch):
+    d = dataset_from_table(population_table(make_dyadic_markov_dgp(3)), 2 * 4**4, spread=1.0)
+    forbid_the_trie(monkeypatch)
+    mode = VarianceMode.estimated()
+    report = resampling_diagnostic(d, reps=20, seed=1, sigma2=pooled_outcome_variance(d))
+    assert report.target_labels
+    assert len(expected_target_covariance(d)[0]) == len(report.target_labels)
+    net_effect_null_test(d, mode)
+    standard_mean_equality_test(d, mode)

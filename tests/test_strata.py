@@ -7,21 +7,18 @@ from seqeffects import (
     UsageError,
     VarianceMode,
     estimate_point_effects,
-    grand_mean,
     point_effect_targets,
-    stratum_mean_variance,
 )
 
 
-def test_grand_mean(d16):
-    assert grand_mean(d16) == pytest.approx(123.125)
-
-
 def test_variance_modes(d16):
-    k = StratumKey((1,), ())
-    assert stratum_mean_variance(d16, k, VarianceMode.known(4.0)) == pytest.approx(0.5)
-    # sample variance 112.5 over 8 records
-    assert stratum_mean_variance(d16, k, VarianceMode.estimated()) == pytest.approx(14.0625)
+    target = point_effect_targets(d16)[0][0]
+    assert target.key == StratumKey((1,), ())
+    # Both arms hold 8 records: sigma2 4 over 8 is 0.5 each. The arm z1=1
+    # has sample variance 112.5 (14.0625 over 8), the control z1=0 has
+    # squared deviations 1354 from its mean 115 (1354 / 7 over 8).
+    assert target.variance(VarianceMode.known(4.0)) == pytest.approx(0.5 + 0.5)
+    assert target.variance(VarianceMode.estimated()) == pytest.approx(14.0625 + 1354 / 56)
 
 
 def test_variance_mode_parsing():
