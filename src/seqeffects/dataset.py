@@ -6,7 +6,12 @@ The CSV layout is one record per row:
 
 with non-negative integer treatment codes z (0 = control), non-negative
 integer covariate components x, and a real outcome y measured after the
-last treatment. One file holds one study population.
+last treatment. One file holds one study population. Files are UTF-8,
+with an optional BOM; codes must fit a signed 64-bit integer, and unit
+ids lose surrounding whitespace on reading, so `save_dataset` refuses
+ids that have it. Both directions work on fixed blocks of rows, one
+column at a time, so the memory they take beyond the arrays is bounded
+by a block.
 
 A Dataset indexes its records two ways. `Dataset.periods` lists each
 period's treatment arms as flat arrays, full-history or pooled, and alone
@@ -22,6 +27,7 @@ import io
 import math
 import re
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +38,10 @@ from .tables import MeanTable, sort_histories
 
 _Z_COL = re.compile(r"^z(\d+)$")
 _X_COL = re.compile(r"^x(\d+)_(\d+)$")
+# Rows per block of a CSV read or write. Each block is converted a column
+# at a time, so the memory beyond the arrays themselves is one block's.
+_BLOCK_ROWS = 8192
+_CODE_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -210,21 +220,40 @@ def load_dataset(source) -> Dataset:
     """Parse a CSV byte/text stream or path into a Dataset.
 
     Raises ParseError (malformed text, naming the offending 1-based file
-    line) or DomainError (negative codes or non-finite outcomes, naming
-    the line too). The header fixes T and the covariate width; every data
-    row must match its arity exactly.
+    line, or the offset of the first byte that is not UTF-8) or
+    DomainError (negative codes or non-finite outcomes, naming the line
+    too). Paths, bytes and binary streams are read as UTF-8 with an
+    optional BOM; a path is decoded as it is read, so rows before a bad
+    byte are checked first. The header fixes T and the covariate width;
+    every data row must match its arity exactly, and codes must fit a
+    signed 64-bit integer.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return _parse_csv(fh)
+        try:
+            with open(source, "r", encoding="utf-8-sig", newline="") as fh:
+                return _parse_csv(fh)
+        except UnicodeDecodeError:
+            _decode(Path(source).read_bytes())  # raises ParseError naming the byte
+            raise
     if isinstance(source, bytes):
-        return _parse_csv(io.StringIO(source.decode("utf-8")))
+        return _parse_csv(io.StringIO(_decode(source)))
     if hasattr(source, "read"):
         data = source.read()
         if isinstance(data, bytes):
-            data = data.decode("utf-8")
+            data = _decode(data)
         return _parse_csv(io.StringIO(data))
     raise UsageError(f"cannot read a dataset from {type(source).__name__}")
+
+
+def _decode(data: bytes) -> str:
+    """UTF-8 text without its BOM; ParseError names the first bad byte."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"input is not UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}"
+        ) from None
+    return text.removeprefix("\ufeff")
 
 
 def _parse_header(header: list[str]) -> tuple[int, int]:
@@ -273,43 +302,106 @@ def _parse_csv(fh) -> Dataset:
     horizon, width = _parse_header([h.strip() for h in header])
     ncol = 1 + horizon + (horizon - 1) * width + 1
 
-    zs, xs, ys, ids = [], [], [], []
-    for line_no, row in enumerate(reader, start=2):
+    ids, codes, ys = [], [], []
+    line_no = 2
+    while True:
+        rows = []
+        try:
+            rows.extend(islice(reader, _BLOCK_ROWS))
+        except (csv.Error, UnicodeDecodeError):
+            # extend keeps the rows read before the failure; their errors
+            # come first in file order.
+            _parse_rows(rows, line_no, ncol)
+            raise
+        if not rows:
+            break
+        block_ids, block_codes, block_y = (
+            _parse_block(rows, ncol) or _parse_rows(rows, line_no, ncol)
+        )
+        ids += block_ids
+        codes.append(block_codes)
+        ys.append(block_y)
+        line_no += len(rows)
+    if not ids:
+        raise ParseError("no data rows")
+    codes = np.concatenate(codes)
+    z = np.ascontiguousarray(codes[:, :horizon])
+    x = np.ascontiguousarray(codes[:, horizon:]).reshape(len(ids), horizon - 1, width)
+    return Dataset(z, x, np.concatenate(ys), ids)
+
+
+def _parse_block(rows: list[list[str]], ncol: int):
+    """(ids, codes, y) of a block of rows, converted a column at a time,
+    or None when a row is blank or malformed; the caller then rescans the
+    block row by row."""
+    if any(len(r) != ncol for r in rows):
+        return None
+    n = len(rows)
+    cols = list(zip(*rows))
+    codes = np.empty((n, ncol - 2), dtype=np.int64)
+    try:
+        for j in range(ncol - 2):
+            codes[:, j] = np.fromiter(map(int, cols[j + 1]), np.int64, count=n)
+        y = np.fromiter(map(float, cols[-1]), float, count=n)
+    except (ValueError, OverflowError):  # OverflowError: a code beyond int64
+        return None
+    if (codes < 0).any() or not np.isfinite(y).all():
+        return None
+    return list(map(str.strip, cols[0])), codes, y
+
+
+def _parse_rows(rows: list[list[str]], line_no: int, ncol: int):
+    """(ids, codes, y) of a block of rows checked one row at a time, the
+    first of them at file line `line_no`; raises the first row's error."""
+    ids, codes, ys = [], [], []
+    for line_no, row in enumerate(rows, start=line_no):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != ncol:
             raise ParseError(
                 f"row {line_no}: expected {ncol} fields, found {len(row)}"
             )
-        ids.append(row[0].strip())
         try:
-            z_row = [int(v) for v in row[1 : 1 + horizon]]
-            x_flat = [int(v) for v in row[1 + horizon : ncol - 1]]
+            row_codes = [int(v) for v in row[1:-1]]
         except ValueError as exc:
             raise ParseError(f"row {line_no}: non-integer code ({exc})") from None
+        big = next((v for v in row_codes if v > _CODE_MAX), None)
+        if big is not None:
+            raise ParseError(
+                f"row {line_no}: code {big} out of range (at most 2**63 - 1)"
+            )
         try:
             y_val = float(row[-1])
         except ValueError:
             raise ParseError(f"row {line_no}: non-numeric outcome {row[-1]!r}") from None
         if not math.isfinite(y_val):
             raise DomainError(f"row {line_no}: non-finite outcome {row[-1]!r}")
-        if any(v < 0 for v in z_row) or any(v < 0 for v in x_flat):
+        if any(v < 0 for v in row_codes):
             raise DomainError(f"row {line_no}: negative treatment/covariate code")
-        zs.append(z_row)
-        xs.append(x_flat)
+        ids.append(row[0].strip())
+        codes.append(row_codes)
         ys.append(y_val)
-    if not zs:
-        raise ParseError("no data rows")
-    z = np.array(zs, dtype=np.int64)
-    if horizon > 1:
-        x = np.array(xs, dtype=np.int64).reshape(len(zs), horizon - 1, width)
-    else:
-        x = np.zeros((len(zs), 0, 0), dtype=np.int64)
-    return Dataset(z, x, np.array(ys, dtype=float), ids)
+    return (
+        ids,
+        np.array(codes, dtype=np.int64).reshape(len(ids), ncol - 2),
+        np.array(ys, dtype=float),
+    )
 
 
 def save_dataset(d: Dataset, path) -> None:
-    """Write the canonical CSV layout (inverse of load_dataset)."""
+    """Write the canonical CSV layout (inverse of load_dataset).
+
+    Raises UsageError for a unit id with leading or trailing whitespace,
+    which load_dataset would strip.
+    """
+    spaced = next((u for u in d.unit_ids if u != u.strip()), None)
+    if spaced is not None:
+        raise UsageError(
+            f"unit id {spaced!r} has leading or trailing whitespace, "
+            "which load_dataset strips"
+        )
+    codes = [d.z[:, t] for t in range(d.horizon)]
+    codes += [d.x[:, t, j] for t in range(d.horizon - 1) for j in range(d.covariate_width)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         header = ["unit_id"] + [f"z{t}" for t in range(1, d.horizon + 1)]
@@ -317,10 +409,8 @@ def save_dataset(d: Dataset, path) -> None:
             header += [f"x{t}_{j}" for j in range(1, d.covariate_width + 1)]
         header.append("y")
         writer.writerow(header)
-        for i in range(d.n_records):
-            row = [d.unit_ids[i]]
-            row += [str(int(v)) for v in d.z[i]]
-            for t in range(d.horizon - 1):
-                row += [str(int(v)) for v in d.x[i, t]]
-            row.append(repr(float(d.y[i])))
-            writer.writerow(row)
+        for lo in range(0, d.n_records, _BLOCK_ROWS):
+            block = slice(lo, lo + _BLOCK_ROWS)
+            # csv writes an int with str() and a float with repr().
+            cols = [c[block].tolist() for c in codes]
+            writer.writerows(zip(d.unit_ids[block], *cols, d.y[block].tolist()))

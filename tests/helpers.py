@@ -6,18 +6,24 @@ dictionaries so that agreement with the package is evidence, not
 circularity.
 """
 
+import csv
+import io
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 
 from seqeffects import (
     Dataset,
+    DomainError,
     EstimabilityError,
     MeanTable,
+    ParseError,
     ResamplingReport,
     point_effect_targets,
 )
+from seqeffects.dataset import _parse_header
 from seqeffects.estimation import FlaggedPair
 
 
@@ -346,3 +352,100 @@ def two_period_closed_form(cells, sigma2=None):
     var1 = v1 + delta_pr**2 * var2
     cov12 = -delta_pr * var2
     return phi1, phi2, var1, var2, cov12
+
+
+def save_dataset_reference(d, path):
+    """The row-at-a-time CSV writer that block-wise `save_dataset` replaced."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        header = ["unit_id"] + [f"z{t}" for t in range(1, d.horizon + 1)]
+        for t in range(1, d.horizon):
+            header += [f"x{t}_{j}" for j in range(1, d.covariate_width + 1)]
+        header.append("y")
+        writer.writerow(header)
+        for i in range(d.n_records):
+            row = [d.unit_ids[i]]
+            row += [str(int(v)) for v in d.z[i]]
+            for t in range(d.horizon - 1):
+                row += [str(int(v)) for v in d.x[i, t]]
+            row.append(repr(float(d.y[i])))
+            writer.writerow(row)
+
+
+def load_dataset_reference(source):
+    """The row-at-a-time CSV reader that block-wise `load_dataset` replaced.
+
+    Same checks in the same order, plus three: input must be UTF-8 (a
+    leading BOM is skipped), a byte that is not is named by its offset,
+    and a code above 2**63 - 1 is named by its row. A path is decoded as
+    it is read, so rows before a bad byte are checked first. The header
+    check is the library's own `_parse_header`.
+    """
+    if isinstance(source, (str, Path)):
+        try:
+            with open(source, "r", encoding="utf-8-sig", newline="") as fh:
+                return _reference_rows(csv.reader(fh))
+        except UnicodeDecodeError:
+            data = Path(source).read_bytes()
+    else:
+        data = source if isinstance(source, bytes) else source.read()
+    if isinstance(data, str):
+        return _reference_rows(csv.reader(io.StringIO(data)))
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad = data[exc.start]
+        raise ParseError(
+            f"input is not UTF-8: byte 0x{bad:02x} at offset {exc.start}"
+        ) from None
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    return _reference_rows(csv.reader(io.StringIO(text)))
+
+
+def _reference_rows(reader):
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty input: no header row") from None
+    horizon, width = _parse_header([h.strip() for h in header])
+    ncol = 1 + horizon + (horizon - 1) * width + 1
+
+    zs, xs, ys, ids = [], [], [], []
+    for line_no, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != ncol:
+            raise ParseError(
+                f"row {line_no}: expected {ncol} fields, found {len(row)}"
+            )
+        ids.append(row[0].strip())
+        try:
+            z_row = [int(v) for v in row[1 : 1 + horizon]]
+            x_flat = [int(v) for v in row[1 + horizon : ncol - 1]]
+        except ValueError as exc:
+            raise ParseError(f"row {line_no}: non-integer code ({exc})") from None
+        for v in z_row + x_flat:
+            if v > 2**63 - 1:
+                raise ParseError(
+                    f"row {line_no}: code {v} out of range (at most 2**63 - 1)"
+                )
+        try:
+            y_val = float(row[-1])
+        except ValueError:
+            raise ParseError(f"row {line_no}: non-numeric outcome {row[-1]!r}") from None
+        if not math.isfinite(y_val):
+            raise DomainError(f"row {line_no}: non-finite outcome {row[-1]!r}")
+        if any(v < 0 for v in z_row) or any(v < 0 for v in x_flat):
+            raise DomainError(f"row {line_no}: negative treatment/covariate code")
+        zs.append(z_row)
+        xs.append(x_flat)
+        ys.append(y_val)
+    if not zs:
+        raise ParseError("no data rows")
+    z = np.array(zs, dtype=np.int64)
+    if horizon > 1:
+        x = np.array(xs, dtype=np.int64).reshape(len(zs), horizon - 1, width)
+    else:
+        x = np.zeros((len(zs), 0, 0), dtype=np.int64)
+    return Dataset(z, x, np.array(ys, dtype=float), ids)

@@ -141,6 +141,23 @@ def test_oracle_incomplete_arm_exits_two(tmp_path, capsys):
     assert "control arm unobserved" in err
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        (
+            b"a,99999999999999999999,1\n",
+            "row 2: code 99999999999999999999 out of range (at most 2**63 - 1)",
+        ),
+        (b"a\xe9,0,1\n", "input is not UTF-8: byte 0xe9 at offset 14"),
+    ],
+)
+def test_oracle_names_an_unreadable_row_and_exits_one(tmp_path, capsys, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"unit_id,z1,y\n" + row)
+    assert main(["oracle", "--data", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_simulate_writes_data_and_truth(tmp_path):
     dgp = write(tmp_path, "law.dgp", PATTERN_DGP)
     out = tmp_path / "sim.csv"
