@@ -6,10 +6,10 @@ dataset from a rule file, with the ground truth beside it), diagnose
 (covariance resampling check plus the decomposition identity), and
 suggest-pattern (merge indistinguishable groups of a fitted pattern).
 
-Reports are JSON on stdout or --out. Exit codes: 0 on success, 1 for
-input or parse problems, 2 for statistical ones (empty strata, ranks,
-flagged diagnostics). The same inputs and seed produce byte-identical
-reports.
+Reports are JSON on stdout or --out, the text of json.dumps(report,
+indent=2). Exit codes: 0 on success, 1 for input or parse problems, 2
+for statistical ones (empty strata, ranks, flagged diagnostics). The
+same inputs and seed produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -17,7 +17,14 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
+from json.encoder import (
+    JSONEncoder,
+    c_make_encoder,
+    encode_basestring,
+    encode_basestring_ascii,
+)
 from pathlib import Path
 from typing import Sequence
 
@@ -42,9 +49,192 @@ from .strata import VarianceMode
 
 log = logging.getLogger(__name__)
 
+# Exact types that the C encoder writes as the indenting encoder does.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+class _ReportEncoder(JSONEncoder):
+    """Indented JSON text equal to the stock encoder's, byte for byte.
+
+    With `indent` set, Python's encoder falls back to nested generators
+    that yield one fragment at a time. This one appends the fragments to
+    one list, and writes each list or dict that holds only scalars, and
+    each list of such dicts, with one call of the C encoder, whose item
+    separator carries the newline and indent of that depth. With
+    `sort_keys` or `skipkeys` it is the stock encoder; without the C
+    encoder, or with `allow_nan` off, it writes everything in Python.
+    """
+
+    def encode(self, o):
+        if self.indent is None or self.sort_keys or self.skipkeys or isinstance(o, str):
+            return super().encode(o)
+        indent = self.indent if isinstance(self.indent, str) else " " * self.indent
+        string = encode_basestring_ascii if self.ensure_ascii else encode_basestring
+        item_sep, key_sep = self.item_separator, self.key_separator
+        allow_nan, default = self.allow_nan, self.default
+        use_c = c_make_encoder is not None and allow_nan
+        markers = {} if self.check_circular else None
+        flat_encoders: dict[int, tuple] = {}
+        out: list[str] = []
+        append = out.append
+
+        def floatstr(v, _repr=float.__repr__, _inf=math.inf):
+            if v != v:
+                text = "NaN"
+            elif v == _inf:
+                text = "Infinity"
+            elif v == -_inf:
+                text = "-Infinity"
+            else:
+                return _repr(v)
+            if not allow_nan:
+                raise ValueError(
+                    "Out of range float values are not JSON compliant: " + repr(v)
+                )
+            return text
+
+        def keystr(key):
+            if isinstance(key, float):
+                return floatstr(key)
+            if key is True:
+                return "true"
+            if key is False:
+                return "false"
+            if key is None:
+                return "null"
+            if isinstance(key, int):
+                return int.__repr__(key)
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+            )
+
+        def mark(container):
+            if markers is not None:
+                if id(container) in markers:
+                    raise ValueError("Circular reference detected")
+                markers[id(container)] = container
+
+        def unmark(container):
+            if markers is not None:
+                del markers[id(container)]
+
+        def value(v, level):
+            if isinstance(v, str):
+                append(string(v))
+            elif v is None:
+                append("null")
+            elif v is True:
+                append("true")
+            elif v is False:
+                append("false")
+            elif isinstance(v, int):
+                append(int.__repr__(v))
+            elif isinstance(v, float):
+                append(floatstr(v))
+            elif isinstance(v, (list, tuple)):
+                array(v, level)
+            elif isinstance(v, dict):
+                obj(v, level)
+            else:
+                mark(v)
+                value(default(v), level)
+                unmark(v)
+
+        def scalar_dict(v):
+            return (
+                type(v) is dict
+                and len(v) > 0
+                and _SCALARS.issuperset(map(type, v.values()))
+                and _SCALARS.issuperset(map(type, v))
+            )
+
+        def c_encoder(level):
+            """The newline of `level`, and a C encoder whose item separator
+            starts a line at `level + 1`."""
+            if level not in flat_encoders:
+                closing = "\n" + indent * level
+                flat_encoders[level] = closing, c_make_encoder(
+                    None, default, string, None, key_sep, item_sep + closing + indent,
+                    False, False, True,
+                )
+            return flat_encoders[level]
+
+        def flat(container, level):
+            # The C encoder writes "[a,<sep>b]"; the indented form also
+            # breaks the line after the opening and before the closing
+            # bracket. Scalars hold no container, so no cycle either.
+            closing, encoder = c_encoder(level)
+            text = "".join(encoder(container, 0))
+            append(text[0] + closing + indent + text[1:-1] + closing + text[-1])
+
+        def flat_dicts(lst, level):
+            # One C call with the separator of the dicts' items. It holds a
+            # newline, which no JSON string holds, so "}<sep>{" only ever
+            # joins two dicts: it becomes the list's separator, with the
+            # line breaks inside the dicts' braces.
+            inner, encoder = c_encoder(level + 1)
+            text = "".join(encoder(lst, 0))
+            body = text[2:-2].replace(
+                "}" + item_sep + inner + indent + "{",
+                inner + "}" + item_sep + inner + "{" + inner + indent,
+            )
+            closing = "\n" + indent * level
+            append("[" + inner + "{" + inner + indent + body + inner + "}" + closing + "]")
+
+        def array(lst, level):
+            if not lst:
+                append("[]")
+                return
+            if use_c and _SCALARS.issuperset(map(type, lst)):
+                flat(lst, level)
+                return
+            if use_c and all(map(scalar_dict, lst)):
+                flat_dicts(lst, level)
+                return
+            mark(lst)
+            closing = "\n" + indent * level
+            sep = item_sep + closing + indent
+            append("[" + closing + indent)
+            for v in lst:
+                if isinstance(v, str):
+                    append(string(v))
+                elif isinstance(v, float):
+                    append(floatstr(v))
+                else:
+                    value(v, level + 1)
+                append(sep)
+            out[-1] = closing + "]"
+            unmark(lst)
+
+        def obj(dct, level):
+            if not dct:
+                append("{}")
+                return
+            if use_c and scalar_dict(dct):
+                flat(dct, level)
+                return
+            mark(dct)
+            closing = "\n" + indent * level
+            sep = item_sep + closing + indent
+            append("{" + closing + indent)
+            for key, v in dct.items():
+                append(string(key if isinstance(key, str) else keystr(key)) + key_sep)
+                if isinstance(v, str):
+                    append(string(v))
+                elif isinstance(v, float):
+                    append(floatstr(v))
+                else:
+                    value(v, level + 1)
+                append(sep)
+            out[-1] = closing + "}"
+            unmark(dct)
+
+        value(o, 0)
+        return "".join(out)
+
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(payload, indent=2, cls=_ReportEncoder)
     if out:
         Path(out).write_text(text + "\n")
     else:
@@ -96,21 +286,16 @@ def cmd_simulate(args) -> int:
     save_dataset(d, args.out)
     truth_path = args.truth or args.out + ".truth.json"
     effects = causal_net_effects(dgp)
-    Path(truth_path).write_text(
-        json.dumps(
-            {
-                "schema_version": 1,
-                "command": "simulate",
-                "dgp": args.dgp,
-                "n": args.n,
-                "seed": args.seed,
-                "net_effects": [
-                    {"key": k.label(), "value": v} for k, v in effects.items()
-                ],
-            },
-            indent=2,
-        )
-        + "\n"
+    _emit(
+        {
+            "schema_version": 1,
+            "command": "simulate",
+            "dgp": args.dgp,
+            "n": args.n,
+            "seed": args.seed,
+            "net_effects": [{"key": k.label(), "value": v} for k, v in effects.items()],
+        },
+        truth_path,
     )
     return 0
 

@@ -26,6 +26,7 @@ import csv
 import io
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -44,14 +45,42 @@ _BLOCK_ROWS = 8192
 _CODE_MAX = 2**63 - 1
 
 
+class _ArmKeys(Sequence):
+    """Read-only sequence of a period's arm keys. Arm g's key is built
+    from its row of `heads` the first time it is read, then kept, so
+    arms that nothing names (most controls) never get one."""
+
+    __slots__ = ("_heads", "_make", "_keys")
+
+    def __init__(self, heads: np.ndarray, make):
+        self._heads = heads
+        self._make = make
+        self._keys: list = [None] * len(heads)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, g):
+        if isinstance(g, slice):
+            return tuple(map(self.__getitem__, range(len(self))[g]))
+        key = self._keys[g]
+        if key is None:
+            key = self._keys[g] = self._make(self._heads[g].tolist())
+        return key
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
 @dataclass(frozen=True)
 class PeriodArms:
     """One period's treatment arms, sorted by key, as arrays over the
     records: record i is in arm `codes[i]`, and arm g holds the outcomes
     `outcomes[bounds[g]:bounds[g + 1]]`, takes treatment `arms[g]`, and
-    has its stratum's control arm at `control[g]` (-1 when unobserved)."""
+    has its stratum's control arm at `control[g]` (-1 when unobserved).
+    `keys[g]` names arm g; it is built on first use (see `_ArmKeys`)."""
 
-    keys: tuple[PointEffectKey, ...]
+    keys: _ArmKeys
     codes: np.ndarray
     bounds: np.ndarray
     outcomes: np.ndarray
@@ -65,7 +94,8 @@ class PeriodArms:
 def _period_arms(order, cols, key, outcomes) -> PeriodArms:
     """The arms of `cols` (last column: the treatment) as the runs of equal
     rows among the records in `order`; `key` maps a run's row, as a list,
-    to its key, and `outcomes` are the outcomes in `order`."""
+    to its key when the key is first read, and `outcomes` are the
+    outcomes in `order`."""
     n = order.size
     new = np.zeros(n, dtype=bool)
     new[0] = True
@@ -79,7 +109,7 @@ def _period_arms(order, cols, key, outcomes) -> PeriodArms:
     stratum[1:] = np.any(heads[1:, :-1] != heads[:-1, :-1], axis=1)
     first = np.flatnonzero(stratum)[np.cumsum(stratum) - 1]
     return PeriodArms(
-        tuple(key(r) for r in heads.tolist()),
+        _ArmKeys(heads, key),
         codes,
         np.append(np.flatnonzero(new), n),
         outcomes,
@@ -219,14 +249,15 @@ class Dataset:
 def load_dataset(source) -> Dataset:
     """Parse a CSV byte/text stream or path into a Dataset.
 
-    Raises ParseError (malformed text, naming the offending 1-based file
-    line, or the offset of the first byte that is not UTF-8) or
-    DomainError (negative codes or non-finite outcomes, naming the line
-    too). Paths, bytes and binary streams are read as UTF-8 with an
-    optional BOM; a path is decoded as it is read, so rows before a bad
-    byte are checked first. The header fixes T and the covariate width;
-    every data row must match its arity exactly, and codes must fit a
-    signed 64-bit integer.
+    Raises ParseError (malformed text, a field over csv's size limit
+    included, naming the offending 1-based file line, or the offset of the
+    first byte that is not UTF-8) or DomainError (negative codes or
+    non-finite outcomes, naming the line too). Paths, bytes and binary
+    streams are read as UTF-8 with an optional BOM; a path is decoded as it
+    is read, so rows before a bad byte are checked first. Lines end in LF,
+    CRLF or CR alike from every kind of source. The header fixes T and the
+    covariate width; every data row must match its arity exactly, and
+    codes must fit a signed 64-bit integer.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -236,12 +267,12 @@ def load_dataset(source) -> Dataset:
             _decode(Path(source).read_bytes())  # raises ParseError naming the byte
             raise
     if isinstance(source, bytes):
-        return _parse_csv(io.StringIO(_decode(source)))
+        return _parse_csv(io.StringIO(_decode(source), newline=""))
     if hasattr(source, "read"):
         data = source.read()
         if isinstance(data, bytes):
             data = _decode(data)
-        return _parse_csv(io.StringIO(data))
+        return _parse_csv(io.StringIO(data, newline=""))
     raise UsageError(f"cannot read a dataset from {type(source).__name__}")
 
 
@@ -299,6 +330,8 @@ def _parse_csv(fh) -> Dataset:
         header = next(reader)
     except StopIteration:
         raise ParseError("empty input: no header row") from None
+    except csv.Error as exc:
+        raise ParseError(f"row 1: {exc}") from None
     horizon, width = _parse_header([h.strip() for h in header])
     ncol = 1 + horizon + (horizon - 1) * width + 1
 
@@ -308,10 +341,12 @@ def _parse_csv(fh) -> Dataset:
         rows = []
         try:
             rows.extend(islice(reader, _BLOCK_ROWS))
-        except (csv.Error, UnicodeDecodeError):
+        except (csv.Error, UnicodeDecodeError) as exc:
             # extend keeps the rows read before the failure; their errors
             # come first in file order.
             _parse_rows(rows, line_no, ncol)
+            if isinstance(exc, csv.Error):
+                raise ParseError(f"row {line_no + len(rows)}: {exc}") from None
             raise
         if not rows:
             break

@@ -9,6 +9,7 @@ The empty key denotes the whole sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import UsageError
 
@@ -16,9 +17,38 @@ from .errors import UsageError
 # compare structurally.
 Covariate = tuple[int, ...]
 
+# Label templates by key shape (treatment count, covariate widths): the
+# treatments fill the first slots, then the covariate components in order.
+_TEMPLATES: dict[tuple, str] = {}
+
+
+def _template(nz: int, widths: tuple[int, ...]) -> str:
+    parts = []
+    pos = nz
+    for i in range(nz):
+        parts.append(f"z{i + 1}={{{i}}}")
+        if i < len(widths):
+            slots = ",".join(f"{{{j}}}" for j in range(pos, pos + widths[i]))
+            parts.append(f"x{i + 1}={slots}")
+            pos += widths[i]
+    return " ".join(parts)
+
+
+class _LabelOnce:
+    """`label()` formats a key's text once and keeps it beside the fields,
+    so equality, hashing and `dataclasses.fields` are unchanged."""
+
+    __slots__ = ()
+
+    def label(self) -> str:
+        text = self.__dict__.get("_label")
+        if text is None:
+            text = self.__dict__["_label"] = self._format_label()
+        return text
+
 
 @dataclass(frozen=True)
-class StratumKey:
+class StratumKey(_LabelOnce):
     """Prefix of the interleaved history defining a subpopulation.
 
     ``len(treatments) == len(covariates)`` is a covariate-ended key (the
@@ -36,9 +66,9 @@ class StratumKey:
             raise UsageError(
                 f"invalid key shape: {nz} treatments with {nx} covariate entries"
             )
-        if any(z < 0 for z in self.treatments):
+        if min(self.treatments, default=0) < 0:
             raise UsageError("treatment codes must be non-negative")
-        if any(v < 0 for vec in self.covariates for v in vec):
+        if min(chain.from_iterable(self.covariates), default=0) < 0:
             raise UsageError("covariate codes must be non-negative")
 
     @property
@@ -90,23 +120,21 @@ class StratumKey:
         """Same conditioning stratum, different trailing treatment."""
         return self.parent_stratum().with_treatment(z)
 
-    def label(self) -> str:
-        if self.depth == 0:
+    def _format_label(self) -> str:
+        if not self.treatments:
             return "(all)"
-        parts = []
-        for i, z in enumerate(self.treatments):
-            parts.append(f"z{i + 1}={z}")
-            if i < len(self.covariates):
-                vec = ",".join(str(v) for v in self.covariates[i])
-                parts.append(f"x{i + 1}={vec}")
-        return " ".join(parts)
+        shape = (len(self.treatments), tuple(map(len, self.covariates)))
+        template = _TEMPLATES.get(shape)
+        if template is None:
+            template = _TEMPLATES[shape] = _template(*shape)
+        return template.format(*self.treatments, *chain.from_iterable(self.covariates))
 
     def __repr__(self) -> str:  # keeps test output readable
         return f"StratumKey<{self.label()}>"
 
 
 @dataclass(frozen=True)
-class MarkovKey:
+class MarkovKey(_LabelOnce):
     """Collapsed point-effect key conditioning only on the previous period.
 
     Used when long sequences make full-history strata too thin: records are
@@ -125,9 +153,9 @@ class MarkovKey:
         if self.prev_treatment < 0 or self.treatment < 0:
             raise UsageError("treatment codes must be non-negative")
 
-    def label(self) -> str:
+    def _format_label(self) -> str:
         t = self.time
-        vec = ",".join(str(v) for v in self.prev_covariate)
+        vec = ",".join(map(str, self.prev_covariate))
         return (
             f"z{t - 1}={self.prev_treatment} x{t - 1}={vec} "
             f"z{t}={self.treatment} pooled"

@@ -232,12 +232,12 @@ def build_constraints(
                 raise _unidentified(key, skipped) from None
         return row
 
-    load = _downstream_loads(d.periods(markov), feature, spec.size)
+    loads = _downstream_loads(d.periods(markov), feature, spec.size)
     rows: list[ConstraintRow] = []
     dropped: list[ConstraintRow] = []
     for target in targets:
-        key = target.key
-        coeff = feature(key) + load[key] - load[key.sibling(0)]
+        load = loads[target.time - 1]
+        coeff = feature(target.key) + load[target.arm] - load[target.control]
         variance = target.variance(variance_mode)
         weight = 0.0
         note = None
@@ -273,15 +273,17 @@ def _unidentified(key: PointEffectKey, skipped) -> EstimabilityError:
     )
 
 
-def _downstream_loads(periods, feature, k: int) -> dict:
+def _downstream_loads(periods, feature, k: int) -> list[np.ndarray]:
     """Mean downstream feature load of every target arm and control.
 
     A record's load past period t is the sum of the feature rows of its
     active arms at periods s > t, and an arm's load is the mean load of
-    its records. One backward pass over the periods builds them all,
-    evaluating the pattern once per active arm, and only at arms holding
-    a record that a target arm or control of an earlier period holds:
-    no other load reads them.
+    its records. Returns one (arms, k) array per period, indexed like the
+    period's arms; only the rows of target arms and their controls are
+    filled, the others are NaN. One backward pass over the periods builds
+    them all, evaluating the pattern once per active arm, and only at
+    arms holding a record that a target arm or control of an earlier
+    period holds: no other load reads them.
     """
     covered = np.zeros(periods[0].codes.size, dtype=bool)
     needed, reached = [], []
@@ -289,10 +291,10 @@ def _downstream_loads(periods, feature, k: int) -> dict:
         reached.append(np.bincount(period.codes[covered], minlength=len(period.keys)) > 0)
         need = (period.arms > 0) & (period.control >= 0)
         need[period.control[need]] = True
-        needed.append(np.flatnonzero(need))
+        needed.append(need)
         covered |= need[period.codes]
     load = np.zeros((covered.size, k))
-    loads: dict = {}
+    loads = [None] * len(periods)
     for t in range(len(periods), 0, -1):
         period = periods[t - 1]
         n_arm = len(period.keys)
@@ -300,7 +302,8 @@ def _downstream_loads(periods, feature, k: int) -> dict:
             [np.bincount(period.codes, load[:, j], n_arm) for j in range(k)]
         )
         mean = total / np.diff(period.bounds)[:, None]
-        loads.update((period.keys[g], mean[g]) for g in needed[t - 1])
+        mean[~needed[t - 1]] = np.nan
+        loads[t - 1] = mean
         if t > 1:
             rows = np.zeros((n_arm, k))
             for g in np.flatnonzero(reached[t - 1] & (period.arms > 0)):

@@ -18,9 +18,11 @@ from seqeffects import (
     Dataset,
     DomainError,
     EstimabilityError,
+    MarkovKey,
     MeanTable,
     ParseError,
     ResamplingReport,
+    StratumKey,
     point_effect_targets,
 )
 from seqeffects.dataset import _parse_header
@@ -148,6 +150,62 @@ def full_targets_reference(d):
                 )
                 targets.append((akey, t, arm, control))
     return targets, skipped
+
+
+def eager_period_keys(d, markov):
+    """Every arm key of every period, built up front from the records: the
+    distinct signatures of each period sorted as integer tuples, which is
+    the order of the arms. A full-history signature at t is the prefix
+    z1, x1, ..., zt; a pooled one at t > 1 is (z[t-1], x[t-1], z[t])."""
+    step = 1 + d.covariate_width
+    out = []
+    for t in range(1, d.horizon + 1):
+        if markov and t > 1:
+            cols = [d.z[:, t - 2], *d.x[:, t - 2].T, d.z[:, t - 1]]
+        else:
+            cols = []
+            for s in range(t):
+                cols.append(d.z[:, s])
+                if s < t - 1:
+                    cols.extend(d.x[:, s].T)
+        sigs = sorted(set(zip(*(c.tolist() for c in cols))))
+        if markov and t > 1:
+            out.append([MarkovKey(t, s[0], s[1:-1], s[-1]) for s in sigs])
+        else:
+            out.append(
+                [
+                    StratumKey(s[::step], tuple(s[i + 1 : i + step] for i in range(0, len(s) - 1, step)))
+                    for s in sigs
+                ]
+            )
+    return out
+
+
+def label_reference(key):
+    """A key's label, formatted one symbol at a time."""
+    if isinstance(key, MarkovKey):
+        t = key.time
+        vec = ",".join(str(v) for v in key.prev_covariate)
+        return f"z{t - 1}={key.prev_treatment} x{t - 1}={vec} z{t}={key.treatment} pooled"
+    if key.depth == 0:
+        return "(all)"
+    parts = []
+    for i, z in enumerate(key.treatments):
+        parts.append(f"z{i + 1}={z}")
+        if i < len(key.covariates):
+            vec = ",".join(str(v) for v in key.covariates[i])
+            parts.append(f"x{i + 1}={vec}")
+    return " ".join(parts)
+
+
+def filled_load_rows(loads):
+    """(period, arm) of every row of `_downstream_loads` output that holds a
+    load; the other rows are NaN."""
+    return {
+        (t, g)
+        for t, load in enumerate(loads, start=1)
+        for g in np.flatnonzero(~np.isnan(load).all(axis=1)).tolist()
+    }
 
 
 def pooled_outcome_variance_reference(d):
@@ -378,8 +436,9 @@ def load_dataset_reference(source):
     Same checks in the same order, plus three: input must be UTF-8 (a
     leading BOM is skipped), a byte that is not is named by its offset,
     and a code above 2**63 - 1 is named by its row. A path is decoded as
-    it is read, so rows before a bad byte are checked first. The header
-    check is the library's own `_parse_header`.
+    it is read, so rows before a bad byte are checked first, and every
+    source splits lines as a path does. The header check is the library's
+    own `_parse_header`.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -390,7 +449,7 @@ def load_dataset_reference(source):
     else:
         data = source if isinstance(source, bytes) else source.read()
     if isinstance(data, str):
-        return _reference_rows(csv.reader(io.StringIO(data)))
+        return _reference_rows(csv.reader(io.StringIO(data, newline="")))
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -400,7 +459,7 @@ def load_dataset_reference(source):
         ) from None
     if text.startswith("\ufeff"):
         text = text[1:]
-    return _reference_rows(csv.reader(io.StringIO(text)))
+    return _reference_rows(csv.reader(io.StringIO(text, newline="")))
 
 
 def _reference_rows(reader):

@@ -158,6 +158,13 @@ def test_oracle_names_an_unreadable_row_and_exits_one(tmp_path, capsys, row, mes
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_oracle_names_a_field_over_the_csv_limit_and_exits_one(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_bytes(b"unit_id,z1,y\na,0,1\nb,0," + b"9" * 200_000 + b"\n")
+    assert main(["oracle", "--data", str(path)]) == 1
+    assert capsys.readouterr().err == "error: row 3: field larger than field limit (131072)\n"
+
+
 def test_simulate_writes_data_and_truth(tmp_path):
     dgp = write(tmp_path, "law.dgp", PATTERN_DGP)
     out = tmp_path / "sim.csv"

@@ -107,7 +107,8 @@ BAD_OUTCOMES = ["nan", "inf", "-Infinity", "abc", "", " 2.5 ", "1e400"]
 @st.composite
 def corrupted_files(draw):
     """A saved dataset as bytes with a few rows broken, padded or blank,
-    perhaps a BOM, and perhaps one byte that is not UTF-8."""
+    any of the three line endings, perhaps a BOM, and perhaps one byte
+    that is not UTF-8."""
     d = draw(datasets(id_chars=ID_CHARS.strip()))
     header = ["unit_id"] + [f"z{t}" for t in range(1, d.horizon + 1)]
     header += [f"x{t}_{j}" for t in range(1, d.horizon) for j in range(1, d.covariate_width + 1)]
@@ -135,7 +136,7 @@ def corrupted_files(draw):
         else:
             row[-1] = draw(st.sampled_from(BAD_OUTCOMES))
     buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
+    csv.writer(buf, lineterminator=draw(st.sampled_from(["\r\n", "\n", "\r"]))).writerows(rows)
     data = buf.getvalue().encode("utf-8")
     if draw(st.booleans()):
         at = draw(st.integers(0, len(data)))
@@ -310,8 +311,22 @@ def test_a_reader_error_comes_after_the_rows_before_it(block):
     with mock.patch.object(seqeffects.dataset, "_BLOCK_ROWS", block):
         with pytest.raises(ParseError, match="row 3: expected 3 fields, found 2"):
             load_dataset(io.StringIO(f"unit_id,z1,y\na,0,1\nb,0\nc,0,{huge}\n"))
-        with pytest.raises(csv.Error, match="field larger than field limit"):
+        with pytest.raises(ParseError, match=r"^row 4: field larger than field limit"):
             load_dataset(io.StringIO(f"unit_id,z1,y\na,0,1\nb,0,2\nc,0,{huge}\n"))
+        with pytest.raises(ParseError, match=r"^row 1: field larger than field limit"):
+            load_dataset(io.StringIO(f"unit_id,z1,{huge}\na,0,1\n"))
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+def test_every_line_ending_loads_alike_from_every_source(tmp_path, ending):
+    lines = ["unit_id,z1,z2,x1_1,y", "a,0,1,1,1.5", "", "b,1,0,0,-2.5", '"c",1,1,0,3']
+    data = ending.join(lines).encode() + ending.encode()
+    (tmp_path / "d.csv").write_bytes(data)
+    want = load_outcome(load_dataset, b"unit_id,z1,z2,x1_1,y\na,0,1,1,1.5\nb,1,0,0,-2.5\nc,1,1,0,3\n")
+    assert want[0] == ("a", "b", "c")
+    for source in (tmp_path / "d.csv", str(tmp_path / "d.csv"), data, io.BytesIO(data)):
+        assert load_outcome(load_dataset, source) == want
+    assert load_outcome(load_dataset, io.StringIO(data.decode(), newline="")) == want
 
 
 def test_save_memory_is_bounded_by_a_block(tmp_path):

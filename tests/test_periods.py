@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     downstream_walk,
+    filled_load_rows,
     full_targets_reference,
     history_order,
     prefix_mask,
@@ -68,14 +69,23 @@ def test_full_loads_match_the_subtree_walk(d, size, seed):
         calls.append(key)
         return values[key]
 
-    loads = _downstream_loads(d.periods(False), value, size)
+    periods = d.periods(False)
+    loads = _downstream_loads(periods, value, size)
     targets, _ = point_effect_targets(d)
-    needed = {t.key for t in targets} | {t.key.sibling(0) for t in targets}
-    assert loads.keys() == needed
-    for key in needed:
+    # loads are indexed by (period, arm); only target arms and controls are filled
+    needed = {(t.time, g) for t in targets for g in (t.arm, t.control)}
+    assert [load.shape for load in loads] == [(len(p.keys), size) for p in periods]
+    assert filled_load_rows(loads) == needed
+    for target in targets:
+        keys = periods[target.time - 1].keys
+        assert keys[target.arm] == target.key
+        assert keys[target.control] == target.key.sibling(0)
+    for t, g in needed:
+        key = periods[t - 1].keys[g]
         want = downstream_walk(table, table.require(key), key, values.__getitem__)
         scale = max(1.0, float(np.max(np.abs(want))))
-        np.testing.assert_allclose(loads[key], want, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(loads[t - 1][g], want, rtol=0, atol=1e-12 * scale)
+    needed = {periods[t - 1].keys[g] for t, g in needed}
     # once per arm, and only at arms strictly below a target arm or control
     assert len(calls) == len(set(calls))
     for key in calls:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_panel
+from helpers import filled_load_rows, random_panel
 from seqeffects import (
     Dataset,
     EstimabilityError,
@@ -142,11 +142,16 @@ def pooled_patterns(draw, terms=INTEGER_TERMS + REAL_TERMS):
 
 
 def side_sums(d, spec):
-    """Loads of every pooled target arm and control, and those keys."""
-    got = _downstream_loads(
-        d.periods(markov=True), lambda key: spec.feature_row(key, d.horizon), spec.size
+    """Loads of every pooled target arm and control by key, read off their
+    (period, arm) index, and those keys."""
+    periods = d.periods(markov=True)
+    loads = _downstream_loads(
+        periods, lambda key: spec.feature_row(key, d.horizon), spec.size
     )
     targets, _ = point_effect_targets(d, markov=True)
+    needed = {(t.time, g) for t in targets for g in (t.arm, t.control)}
+    assert filled_load_rows(loads) == needed
+    got = {periods[t - 1].keys[g]: loads[t - 1][g] for t, g in needed}
     return got, {t.key for t in targets} | {t.key.sibling(0) for t in targets}
 
 
