@@ -15,20 +15,16 @@ same inputs and seed produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
 import sys
-from json.encoder import (
-    JSONEncoder,
-    c_make_encoder,
-    encode_basestring,
-    encode_basestring_ascii,
-)
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
-from .dataset import Dataset, load_dataset, save_dataset
+from .dataset import load_dataset, save_dataset
 from .errors import (
     DgpError,
     DomainError,
@@ -51,183 +47,112 @@ log = logging.getLogger(__name__)
 
 # Exact types that the C encoder writes as the indenting encoder does.
 _SCALARS = frozenset({str, int, float, bool, type(None)})
+_STR = frozenset({str})
+_INDENT = "  "
+
+
+def _floatstr(v, _repr=float.__repr__, _finite=math.isfinite) -> str:
+    if _finite(v):
+        return _repr(v)
+    return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+
+
+def _flat_dict(v) -> bool:
+    if type(v) is not dict or not v:
+        return False
+    return _SCALARS.issuperset(map(type, v.values())) and _STR.issuperset(map(type, v))
 
 
 class _ReportEncoder(JSONEncoder):
-    """Indented JSON text equal to the stock encoder's, byte for byte.
+    """The text of `json.dumps(tree, indent=2)`, byte for byte, for report
+    trees: str keys, and lists, tuples, dicts, str, int, float (subclasses
+    included), bool and None. Any other value, or a key that is not a str,
+    raises TypeError. The encoder's options are not read.
 
     With `indent` set, Python's encoder falls back to nested generators
     that yield one fragment at a time. This one appends the fragments to
-    one list, and writes each list or dict that holds only scalars, and
-    each list of such dicts, with one call of the C encoder, whose item
-    separator carries the newline and indent of that depth. With
-    `sort_keys` or `skipkeys` it is the stock encoder; without the C
-    encoder, or with `allow_nan` off, it writes everything in Python.
+    one list. It writes str and float members itself; each list or dict
+    that holds only scalars of exact type, each list of such dicts, and
+    each other scalar take one call of the C encoder, whose item
+    separator carries the newline and indent of that depth. Without the C
+    encoder it is the stock encoder.
     """
 
     def encode(self, o):
-        if self.indent is None or self.sort_keys or self.skipkeys or isinstance(o, str):
+        if c_make_encoder is None:
             return super().encode(o)
-        indent = self.indent if isinstance(self.indent, str) else " " * self.indent
-        string = encode_basestring_ascii if self.ensure_ascii else encode_basestring
-        item_sep, key_sep = self.item_separator, self.key_separator
-        allow_nan, default = self.allow_nan, self.default
-        use_c = c_make_encoder is not None and allow_nan
-        markers = {} if self.check_circular else None
-        flat_encoders: dict[int, tuple] = {}
+        string = encode_basestring_ascii
         out: list[str] = []
         append = out.append
 
-        def floatstr(v, _repr=float.__repr__, _inf=math.inf):
-            if v != v:
-                text = "NaN"
-            elif v == _inf:
-                text = "Infinity"
-            elif v == -_inf:
-                text = "-Infinity"
-            else:
-                return _repr(v)
-            if not allow_nan:
-                raise ValueError(
-                    "Out of range float values are not JSON compliant: " + repr(v)
-                )
-            return text
-
-        def keystr(key):
-            if isinstance(key, float):
-                return floatstr(key)
-            if key is True:
-                return "true"
-            if key is False:
-                return "false"
-            if key is None:
-                return "null"
-            if isinstance(key, int):
-                return int.__repr__(key)
-            raise TypeError(
-                f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+        @functools.cache
+        def c_encoder(level):
+            # The newline of `level`, and a C encoder whose item separator
+            # starts a line at `level + 1`.
+            closing = "\n" + _INDENT * level
+            item_sep = "," + closing + _INDENT
+            return closing, c_make_encoder(
+                None, None, string, None, ": ", item_sep, False, False, True
             )
-
-        def mark(container):
-            if markers is not None:
-                if id(container) in markers:
-                    raise ValueError("Circular reference detected")
-                markers[id(container)] = container
-
-        def unmark(container):
-            if markers is not None:
-                del markers[id(container)]
 
         def value(v, level):
-            if isinstance(v, str):
-                append(string(v))
-            elif v is None:
-                append("null")
-            elif v is True:
-                append("true")
-            elif v is False:
-                append("false")
-            elif isinstance(v, int):
-                append(int.__repr__(v))
-            elif isinstance(v, float):
-                append(floatstr(v))
-            elif isinstance(v, (list, tuple)):
-                array(v, level)
+            if isinstance(v, (list, tuple)):
+                if not v:
+                    append("[]")
+                elif _SCALARS.issuperset(map(type, v)):
+                    flat(v, level)
+                elif all(map(_flat_dict, v)):
+                    flat_dicts(v, level)
+                else:
+                    members(v, level, False)
             elif isinstance(v, dict):
-                obj(v, level)
+                if not v:
+                    append("{}")
+                elif _flat_dict(v):
+                    flat(v, level)
+                else:
+                    members(v, level, True)
+            elif v is None or isinstance(v, (str, int, float)):
+                append("".join(c_encoder(level)[1](v, 0)))
             else:
-                mark(v)
-                value(default(v), level)
-                unmark(v)
-
-        def scalar_dict(v):
-            return (
-                type(v) is dict
-                and len(v) > 0
-                and _SCALARS.issuperset(map(type, v.values()))
-                and _SCALARS.issuperset(map(type, v))
-            )
-
-        def c_encoder(level):
-            """The newline of `level`, and a C encoder whose item separator
-            starts a line at `level + 1`."""
-            if level not in flat_encoders:
-                closing = "\n" + indent * level
-                flat_encoders[level] = closing, c_make_encoder(
-                    None, default, string, None, key_sep, item_sep + closing + indent,
-                    False, False, True,
+                raise TypeError(
+                    f"Object of type {v.__class__.__name__} is not JSON serializable"
                 )
-            return flat_encoders[level]
 
         def flat(container, level):
             # The C encoder writes "[a,<sep>b]"; the indented form also
-            # breaks the line after the opening and before the closing
-            # bracket. Scalars hold no container, so no cycle either.
+            # breaks the line after "[" and before "]".
             closing, encoder = c_encoder(level)
             text = "".join(encoder(container, 0))
-            append(text[0] + closing + indent + text[1:-1] + closing + text[-1])
+            append(text[0] + closing + _INDENT + text[1:-1] + closing + text[-1])
 
         def flat_dicts(lst, level):
-            # One C call with the separator of the dicts' items. It holds a
-            # newline, which no JSON string holds, so "}<sep>{" only ever
-            # joins two dicts: it becomes the list's separator, with the
-            # line breaks inside the dicts' braces.
+            # One C call with the dicts' item separator. No JSON string holds
+            # its newline, so "}<sep>{" only ever joins two dicts: it becomes
+            # the list's separator, with line breaks inside the braces.
             inner, encoder = c_encoder(level + 1)
             text = "".join(encoder(lst, 0))
-            body = text[2:-2].replace(
-                "}" + item_sep + inner + indent + "{",
-                inner + "}" + item_sep + inner + "{" + inner + indent,
-            )
-            closing = "\n" + indent * level
-            append("[" + inner + "{" + inner + indent + body + inner + "}" + closing + "]")
+            joint = "}," + inner + _INDENT + "{"
+            body = text[2:-2].replace(joint, inner + "}," + inner + "{" + inner + _INDENT)
+            closing = "\n" + _INDENT * level
+            append("[" + inner + "{" + inner + _INDENT + body + inner + "}" + closing + "]")
 
-        def array(lst, level):
-            if not lst:
-                append("[]")
-                return
-            if use_c and _SCALARS.issuperset(map(type, lst)):
-                flat(lst, level)
-                return
-            if use_c and all(map(scalar_dict, lst)):
-                flat_dicts(lst, level)
-                return
-            mark(lst)
-            closing = "\n" + indent * level
-            sep = item_sep + closing + indent
-            append("[" + closing + indent)
-            for v in lst:
+        def members(container, level, is_dict):
+            closing = "\n" + _INDENT * level
+            sep = "," + closing + _INDENT
+            append(("{" if is_dict else "[") + closing + _INDENT)
+            for key, v in container.items() if is_dict else enumerate(container):
+                if is_dict:  # the C string encoder raises TypeError on other keys
+                    append(string(key) + ": ")
+                # str and float first: they are most of a report's leaves.
                 if isinstance(v, str):
                     append(string(v))
                 elif isinstance(v, float):
-                    append(floatstr(v))
+                    append(_floatstr(v))
                 else:
                     value(v, level + 1)
                 append(sep)
-            out[-1] = closing + "]"
-            unmark(lst)
-
-        def obj(dct, level):
-            if not dct:
-                append("{}")
-                return
-            if use_c and scalar_dict(dct):
-                flat(dct, level)
-                return
-            mark(dct)
-            closing = "\n" + indent * level
-            sep = item_sep + closing + indent
-            append("{" + closing + indent)
-            for key, v in dct.items():
-                append(string(key if isinstance(key, str) else keystr(key)) + key_sep)
-                if isinstance(v, str):
-                    append(string(v))
-                elif isinstance(v, float):
-                    append(floatstr(v))
-                else:
-                    value(v, level + 1)
-                append(sep)
-            out[-1] = closing + "}"
-            unmark(dct)
+            out[-1] = closing + ("}" if is_dict else "]")
 
         value(o, 0)
         return "".join(out)
@@ -241,12 +166,8 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
-def _load(path: str) -> Dataset:
-    return load_dataset(path)
-
-
 def cmd_estimate(args) -> int:
-    d = _load(args.data)
+    d = load_dataset(args.data)
     spec = parse_pattern(Path(args.pattern).read_text())
     mode = VarianceMode.parse(args.variance_mode)
     fit = fit_net_effects(spec, d, mode, markov=args.markov)
@@ -265,7 +186,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    d = _load(args.data)
+    d = load_dataset(args.data)
     net = compute_net_effects(d.table)
     _emit(
         {
@@ -301,7 +222,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    d = _load(args.data)
+    d = load_dataset(args.data)
     mode = VarianceMode.parse(args.variance_mode)
     if mode.kind == "known":
         sigma2 = mode.sigma2
@@ -325,7 +246,7 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_suggest_pattern(args) -> int:
-    d = _load(args.data)
+    d = load_dataset(args.data)
     if args.pattern is None:
         spec = saturated_pattern(d, markov=args.markov)
     else:

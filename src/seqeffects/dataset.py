@@ -39,6 +39,8 @@ from .tables import MeanTable, sort_histories
 
 _Z_COL = re.compile(r"^z(\d+)$")
 _X_COL = re.compile(r"^x(\d+)_(\d+)$")
+# A line break as csv sees one in a quoted field of a file read with newline="".
+_LINE_BREAK = re.compile(r"\r\n?|\n")
 # Rows per block of a CSV read or write. Each block is converted a column
 # at a time, so the memory beyond the arrays themselves is one block's.
 _BLOCK_ROWS = 8192
@@ -250,14 +252,15 @@ def load_dataset(source) -> Dataset:
     """Parse a CSV byte/text stream or path into a Dataset.
 
     Raises ParseError (malformed text, a field over csv's size limit
-    included, naming the offending 1-based file line, or the offset of the
-    first byte that is not UTF-8) or DomainError (negative codes or
-    non-finite outcomes, naming the line too). Paths, bytes and binary
-    streams are read as UTF-8 with an optional BOM; a path is decoded as it
-    is read, so rows before a bad byte are checked first. Lines end in LF,
-    CRLF or CR alike from every kind of source. The header fixes T and the
-    covariate width; every data row must match its arity exactly, and
-    codes must fit a signed 64-bit integer.
+    included, naming the 1-based file line the offending row starts on, or
+    the line the reader stopped on, or the offset of the first byte that is
+    not UTF-8) or DomainError (negative codes or non-finite outcomes,
+    naming the line too); a quoted field may span lines. Paths, bytes and
+    binary streams are read as UTF-8 with an optional BOM; a path is
+    decoded as it is read, so rows before a bad byte are checked first.
+    Lines end in LF, CRLF or CR alike from every kind of source. The header
+    fixes T and the covariate width; every data row must match its arity
+    exactly, and codes must fit a signed 64-bit integer.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -331,13 +334,13 @@ def _parse_csv(fh) -> Dataset:
     except StopIteration:
         raise ParseError("empty input: no header row") from None
     except csv.Error as exc:
-        raise ParseError(f"row 1: {exc}") from None
+        raise ParseError(f"row {reader.line_num}: {exc}") from None
     horizon, width = _parse_header([h.strip() for h in header])
     ncol = 1 + horizon + (horizon - 1) * width + 1
 
     ids, codes, ys = [], [], []
-    line_no = 2
     while True:
+        line_no = reader.line_num + 1  # the first line of the block's first row
         rows = []
         try:
             rows.extend(islice(reader, _BLOCK_ROWS))
@@ -346,7 +349,7 @@ def _parse_csv(fh) -> Dataset:
             # come first in file order.
             _parse_rows(rows, line_no, ncol)
             if isinstance(exc, csv.Error):
-                raise ParseError(f"row {line_no + len(rows)}: {exc}") from None
+                raise ParseError(f"row {reader.line_num}: {exc}") from None
             raise
         if not rows:
             break
@@ -356,7 +359,6 @@ def _parse_csv(fh) -> Dataset:
         ids += block_ids
         codes.append(block_codes)
         ys.append(block_y)
-        line_no += len(rows)
     if not ids:
         raise ParseError("no data rows")
     codes = np.concatenate(codes)
@@ -387,9 +389,14 @@ def _parse_block(rows: list[list[str]], ncol: int):
 
 def _parse_rows(rows: list[list[str]], line_no: int, ncol: int):
     """(ids, codes, y) of a block of rows checked one row at a time, the
-    first of them at file line `line_no`; raises the first row's error."""
+    first of them starting on file line `line_no`; raises the first row's
+    error, naming the line the row starts on. A row spans one line plus the
+    line breaks in its quoted fields."""
     ids, codes, ys = [], [], []
-    for line_no, row in enumerate(rows, start=line_no):
+    next_line = line_no
+    for row in rows:
+        line_no = next_line
+        next_line += 1 + len(_LINE_BREAK.findall(",".join(row)))
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != ncol:

@@ -509,8 +509,10 @@ def resampling_diagnostic(
     ``(seed, r)``. Replications are drawn in blocks of rows that fit in
     `_RESAMPLE_BLOCK_BYTES`, and each arm or control mean is taken once
     per block along the rows; neither the block size nor the order of the
-    means changes a bit of the result.
+    means changes a bit of the result. A negative `reps` is a UsageError.
     """
+    if reps < 0:
+        raise UsageError(f"reps must be at least 0, not {reps}")
     targets, expected = expected_target_covariance(d, sigma2)
     labels = [t.key.label() for t in targets]
     notes: list[str] = []

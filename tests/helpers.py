@@ -471,7 +471,9 @@ def _reference_rows(reader):
     ncol = 1 + horizon + (horizon - 1) * width + 1
 
     zs, xs, ys, ids = [], [], [], []
-    for line_no, row in enumerate(reader, start=2):
+    start = reader.line_num  # the line before the next row
+    for row in reader:
+        line_no, start = start + 1, reader.line_num
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != ncol:

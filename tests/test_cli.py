@@ -231,6 +231,13 @@ def test_diagnose_clean_data_exits_zero(tmp_path, ref_csv):
     assert blob["decomposition"]["flagged"] is False
 
 
+def test_diagnose_negative_reps_exits_one(tmp_path, ref_csv, capsys):
+    out = tmp_path / "diag.json"
+    assert main(["diagnose", "--data", ref_csv, "--reps", "-4", "--out", str(out)]) == 1
+    assert "reps must be at least 0, not -4" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_diagnose_without_targets_says_nothing_was_checked(tmp_path, caplog):
     data = write(tmp_path, "untreated.csv", "unit_id,z1,y\nu0,0,1.0\nu1,0,2.0\nu2,0,3.0\n")
     out = tmp_path / "diag.json"

@@ -106,9 +106,9 @@ BAD_OUTCOMES = ["nan", "inf", "-Infinity", "abc", "", " 2.5 ", "1e400"]
 
 @st.composite
 def corrupted_files(draw):
-    """A saved dataset as bytes with a few rows broken, padded or blank,
-    any of the three line endings, perhaps a BOM, and perhaps one byte
-    that is not UTF-8."""
+    """A saved dataset as bytes with a few rows broken, padded, blank or
+    spread over two lines by a quoted id, any of the three line endings,
+    perhaps a BOM, and perhaps one byte that is not UTF-8."""
     d = draw(datasets(id_chars=ID_CHARS.strip()))
     header = ["unit_id"] + [f"z{t}" for t in range(1, d.horizon + 1)]
     header += [f"x{t}_{j}" for t in range(1, d.horizon) for j in range(1, d.covariate_width + 1)]
@@ -116,6 +116,7 @@ def corrupted_files(draw):
     rows = [header + ["y"]]
     rows += [[u, *map(str, c), repr(y)] for u, c, y in zip(d.unit_ids, codes, d.y.tolist())]
     ncol = len(rows[0])
+    ending = draw(st.sampled_from(["\r\n", "\n", "\r"]))
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(1, len(rows)))
         kind = draw(st.sampled_from(["short", "long", "blank", "spaces", "pad", "code", "outcome"]))
@@ -135,8 +136,13 @@ def corrupted_files(draw):
             row[draw(st.integers(1, ncol - 2))] = draw(st.sampled_from(BAD_CODES))
         else:
             row[-1] = draw(st.sampled_from(BAD_OUTCOMES))
+    # csv.writer quotes a field that holds a character of the line ending.
+    breaks = st.sampled_from([b for b in ("\n", "\r\n", "\r") if b in ending])
+    for i in draw(st.sets(st.integers(1, len(rows) - 1), max_size=3)):
+        if rows[i]:
+            rows[i][0] = draw(breaks).join([rows[i][0], "id"])
     buf = io.StringIO()
-    csv.writer(buf, lineterminator=draw(st.sampled_from(["\r\n", "\n", "\r"]))).writerows(rows)
+    csv.writer(buf, lineterminator=ending).writerows(rows)
     data = buf.getvalue().encode("utf-8")
     if draw(st.booleans()):
         at = draw(st.integers(0, len(data)))
@@ -315,6 +321,17 @@ def test_a_reader_error_comes_after_the_rows_before_it(block):
             load_dataset(io.StringIO(f"unit_id,z1,y\na,0,1\nb,0,2\nc,0,{huge}\n"))
         with pytest.raises(ParseError, match=r"^row 1: field larger than field limit"):
             load_dataset(io.StringIO(f"unit_id,z1,{huge}\na,0,1\n"))
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_errors_name_the_file_line_a_row_starts_on(block):
+    with mock.patch.object(seqeffects.dataset, "_BLOCK_ROWS", block):
+        with pytest.raises(ParseError, match="^row 4: expected 3 fields, found 2$"):
+            load_dataset(b'unit_id,z1,y\n"a\nb",0,1\nc,0\n')
+        with pytest.raises(DomainError, match="^row 7: non-finite outcome"):
+            load_dataset(b'unit_id,z1,y\r\n"a\r\nb",0,1\r\n"c\rd",1,2\r\n\r\ne,0,inf\r\n')
+        with pytest.raises(ParseError, match="^row 4: field larger than field limit"):
+            load_dataset(f'unit_id,z1,y\n"a\nb",0,1\nc,0,{"9" * 200_000}\n'.encode())
 
 
 @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])

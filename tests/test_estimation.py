@@ -331,6 +331,15 @@ def test_resampling_diagnostic_rep_bounds(dref):
         resampling_diagnostic(dref, reps=1, sigma2=25.0)
 
 
+def test_negative_reps_are_a_usage_error_before_any_work(dref, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the expected covariance was computed")
+
+    monkeypatch.setattr(estimation, "expected_target_covariance", no_work)
+    with pytest.raises(UsageError, match="reps must be at least 0, not -4"):
+        resampling_diagnostic(dref, reps=-4, sigma2=25.0)
+
+
 def assert_same_report(report, reference):
     assert report.target_labels == reference.target_labels
     assert np.array_equal(report.expected, reference.expected)
