@@ -24,7 +24,7 @@ from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
-from .dataset import load_dataset, save_dataset
+from .dataset import _decode, load_dataset, save_dataset
 from .errors import (
     DgpError,
     DomainError,
@@ -166,9 +166,14 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
+def _read_text(path: str) -> str:
+    """A pattern or rule file as UTF-8 text, BOM dropped; ParseError names a bad byte."""
+    return _decode(Path(path).read_bytes())
+
+
 def cmd_estimate(args) -> int:
     d = load_dataset(args.data)
-    spec = parse_pattern(Path(args.pattern).read_text())
+    spec = parse_pattern(_read_text(args.pattern))
     mode = VarianceMode.parse(args.variance_mode)
     fit = fit_net_effects(spec, d, mode, markov=args.markov)
     _emit(
@@ -202,7 +207,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    dgp = parse_dgp(Path(args.dgp).read_text())
+    dgp = parse_dgp(_read_text(args.dgp))
     d = simulate(dgp, args.n, args.seed)
     save_dataset(d, args.out)
     truth_path = args.truth or args.out + ".truth.json"
@@ -250,7 +255,7 @@ def cmd_suggest_pattern(args) -> int:
     if args.pattern is None:
         spec = saturated_pattern(d, markov=args.markov)
     else:
-        spec = parse_pattern(Path(args.pattern).read_text())
+        spec = parse_pattern(_read_text(args.pattern))
     mode = VarianceMode.parse(args.variance_mode)
     fit = fit_net_effects(spec, d, mode, markov=args.markov)
     report = discover_pattern(fit, alpha=args.alpha)

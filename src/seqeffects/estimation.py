@@ -31,7 +31,7 @@ from .errors import (
 from .exprlang import compile_expr
 from .keys import PointEffectKey, StratumKey
 from .patterns import ConstraintSystem, PatternGroup, PatternSpec, build_constraints
-from .strata import VarianceMode, point_effect_targets
+from .strata import VarianceMode, _mean_variance, point_effect_targets
 
 log = logging.getLogger(__name__)
 
@@ -302,21 +302,37 @@ class TestResult:
 def net_effect_null_test(d: Dataset, variance_mode: VarianceMode) -> TestResult:
     """Chi-square test that every point effect is zero.
 
-    Targets are pairwise uncorrelated under resampling within strata (the
-    later contrast sits inside one arm of the earlier one, canceling the
-    shared-mean term), so the weighted sum of squares is chi-square with
-    one degree of freedom per usable target. All point effects vanish
-    exactly when all net effects do, which is the hypothesis of interest.
+    Targets of different periods or strata are uncorrelated under
+    resampling within strata (the later contrast sits inside one arm of
+    the earlier one, canceling the shared-mean term). The active arms of
+    one stratum are not: they share its control mean. So each block of
+    targets with one control, with estimates e and covariance V equal to
+    the arm-mean variances on the diagonal plus the control-mean variance
+    everywhere, adds e' V^-1 e and one degree of freedom per target (per
+    rank of V, when arms without spread make V singular); a one-target
+    block adds estimate^2 / variance. Targets without a finite positive
+    variance are left out. All point effects vanish exactly when all net
+    effects do, which is the hypothesis of interest.
     """
     targets, _ = point_effect_targets(d)
-    q = 0.0
-    m = 0
+    blocks: dict[tuple[int, int], list] = {}
     for target in targets:
         var = target.variance(variance_mode)
-        if not math.isfinite(var) or var <= 0.0:
+        if math.isfinite(var) and var > 0.0:
+            blocks.setdefault((target.time, target.control), []).append((target, var))
+    q = 0.0
+    m = 0
+    for block in blocks.values():
+        if len(block) == 1:
+            target, var = block[0]
+            q += target.estimate**2 / var
+            m += 1
             continue
-        q += target.estimate**2 / var
-        m += 1
+        arms = [_mean_variance(t.arm_values, variance_mode) for t, _ in block]
+        cov = np.diag(arms) + _mean_variance(block[0][0].control_values, variance_mode)
+        e = np.array([t.estimate for t, _ in block])
+        q += float(e @ np.linalg.pinv(cov, hermitian=True) @ e)
+        m += int(np.linalg.matrix_rank(cov, hermitian=True))
     if m == 0:
         raise EstimabilityError("no target has a usable variance")
     # Imported here, not at module level: scipy.stats takes several times
@@ -509,10 +525,13 @@ def resampling_diagnostic(
     ``(seed, r)``. Replications are drawn in blocks of rows that fit in
     `_RESAMPLE_BLOCK_BYTES`, and each arm or control mean is taken once
     per block along the rows; neither the block size nor the order of the
-    means changes a bit of the result. A negative `reps` is a UsageError.
+    means changes a bit of the result. A negative `reps` or `seed` is a
+    UsageError.
     """
     if reps < 0:
         raise UsageError(f"reps must be at least 0, not {reps}")
+    if seed < 0:
+        raise UsageError(f"seed must be at least 0, not {seed}")
     targets, expected = expected_target_covariance(d, sigma2)
     labels = [t.key.label() for t in targets]
     notes: list[str] = []

@@ -15,8 +15,9 @@ The point effect (plain arm contrast of stratum means at any period)
 decomposes as its own net effect plus the difference between the two arms'
 downstream net-effect loads; `verify_decomposition` checks that identity
 against directly contrasted stored means and reports the worst deviation.
-It checks every arm whose own and control subtrees are complete, and lists
-the other active arms as skipped.
+It checks every arm whose own and control subtrees are complete, which
+the recursion finds in its own backward pass, and lists the other active
+arms as skipped. Arms are read in child order, which is symbol order.
 """
 
 from __future__ import annotations
@@ -122,24 +123,28 @@ def compute_net_effects(table: MeanTable) -> NetEffectTable:
             + "; ".join(k.label() for k in incomplete[:20])
             + (f" and {len(incomplete) - 20} more strata" if len(incomplete) > 20 else "")
         )
-    return _net_effects(table, set())
+    return _net_effects(table)[0]
 
 
-def _net_effects(table: MeanTable, incomplete: set[TableNode]) -> NetEffectTable:
-    """The recursion at every arm outside `incomplete`.
-
-    `incomplete` must hold every arm with a control-less stratum below it
-    (`_incomplete_arms`); the loads of all other arms then need only net
-    effects that exist. An active arm whose control is missing or in
-    `incomplete` gets a control-continuation mean but no net effect.
+def _net_effects(table: MeanTable) -> tuple[NetEffectTable, set[TableNode]]:
+    """The recursion, and the arms it leaves out: those with a stratum
+    below that holds no control arm, or an arm already left out. Running
+    last period to first finds them before any load needs them. An active
+    arm whose control is missing or left out gets a control-continuation
+    mean but no net effect.
     """
     net = NetEffectTable(table.horizon)
+    left_out: set[TableNode] = set()
     load = downstream_weighted_sum(table, net.effects.__getitem__)
     for t in range(table.horizon, 0, -1):
         for pkey, pnode in table.level(2 * (t - 1)):
             base = None
-            for z, anode in sorted(pnode.children.items()):
-                if anode in incomplete:
+            for z, anode in pnode.children.items():
+                if any(
+                    0 not in s.children or not left_out.isdisjoint(s.children.values())
+                    for s in anode.children.values()
+                ):
+                    left_out.add(anode)
                     continue
                 akey = pkey.with_treatment(z)
                 mean = anode.derived_mean - load(akey, anode)
@@ -148,20 +153,7 @@ def _net_effects(table: MeanTable, incomplete: set[TableNode]) -> NetEffectTable
                     base = mean
                 elif base is not None:
                     net.effects[akey] = mean - base
-    return net
-
-
-def _incomplete_arms(table: MeanTable) -> set[TableNode]:
-    """Arms with a stratum below them that holds no control arm."""
-    out: set[TableNode] = set()
-    for depth in range(2 * table.horizon - 3, 0, -2):
-        for _, node in table.level(depth):
-            for stratum in node.children.values():
-                arms = stratum.children
-                if 0 not in arms or any(g in out for g in arms.values()):
-                    out.add(node)
-                    break
-    return out
+    return net, left_out
 
 
 def decompose_point_effect(
@@ -245,22 +237,21 @@ def verify_decomposition(table: MeanTable, tolerance: float = 1e-8) -> Decomposi
     has a control-less stratum below it; the others are listed as
     skipped with the reason.
     """
-    incomplete = _incomplete_arms(table)
-    net = _net_effects(table, incomplete)
+    net, left_out = _net_effects(table)
     entries = []
     skipped = []
     for t in range(1, table.horizon + 1):
         for pkey, pnode in table.level(2 * (t - 1)):
             control = pnode.children.get(0)
-            for z, anode in sorted(pnode.children.items()):
+            for z, anode in pnode.children.items():
                 if z == 0:
                     continue
                 akey = pkey.with_treatment(z)
                 if control is None:
                     skipped.append((akey, "control arm unobserved"))
-                elif anode in incomplete:
+                elif anode in left_out:
                     skipped.append((akey, "control arm unobserved below the arm"))
-                elif control in incomplete:
+                elif control in left_out:
                     skipped.append((akey, "control arm unobserved below its control"))
                 else:
                     direct = table.mean(akey) - table.mean(pkey.with_treatment(0))

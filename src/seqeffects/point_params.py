@@ -7,6 +7,11 @@ contrast against the zero vector), and a single grand mean. On a complete
 table the map is a bijection; `reconstruct_history_mean` inverts it by a
 left-to-right fold that subtracts each period's proportion-weighted effect
 average and adds back the effect actually taken.
+
+Both directions run one loop over the interleaved depths of the history
+trie: even depths are treatment strata, contrasted against arm 0; odd
+depths are covariate strata, contrasted against the zero vector.
+Children are read in symbol order, as the table keeps them.
 """
 
 from __future__ import annotations
@@ -53,6 +58,17 @@ class PointParams:
         return json.dumps(self.to_dict(), **kwargs)
 
 
+_REFERENCE = {"treatment": "control arm", "covariate": "reference covariate"}
+
+
+def _stratum_step(params: PointParams, depth: int, width: int):
+    """Key extension, reference child, effects and their kind at `depth`:
+    treatment strata (reference arm 0) at even depths, covariate at odd."""
+    if depth % 2:
+        return StratumKey.with_covariate, (0,) * width, params.covariate_effects, "covariate"
+    return StratumKey.with_treatment, 0, params.treatment_effects, "treatment"
+
+
 def extract_point_params(table: MeanTable) -> PointParams:
     """Sweep every stratum and collect all estimable point effects.
 
@@ -61,33 +77,18 @@ def extract_point_params(table: MeanTable) -> PointParams:
     them will fail loudly instead of imputing.
     """
     params = PointParams(grand_mean=table.root.mean)
-    horizon = table.horizon
-    for t in range(1, horizon + 1):
-        for pkey, pnode in table.level(2 * (t - 1)):
-            control = pnode.children.get(0)
-            for z, anode in pnode.children.items():
-                if z == 0:
+    for depth in range(2 * table.horizon - 1):
+        extend, ref, effects, kind = _stratum_step(params, depth, table.covariate_width)
+        for pkey, pnode in table.level(depth):
+            ref_node = pnode.children.get(ref)
+            for sym, node in pnode.children.items():
+                if sym == ref:
                     continue
-                akey = pkey.with_treatment(z)
-                if control is None:
-                    log.info("no control arm for %s; effect skipped", akey.label())
+                key = extend(pkey, sym)
+                if ref_node is None:
+                    log.info("no %s for %s; effect skipped", _REFERENCE[kind], key.label())
                     continue
-                params.treatment_effects[akey] = anode.mean - control.mean
-        if t <= horizon - 1:
-            zero = (0,) * table.covariate_width
-            for pkey, pnode in table.level(2 * t - 1):
-                ref = pnode.children.get(zero)
-                for vec, cnode in pnode.children.items():
-                    if vec == zero:
-                        continue
-                    ckey = pkey.with_covariate(vec)
-                    if ref is None:
-                        log.info(
-                            "no reference covariate for %s; effect skipped",
-                            ckey.label(),
-                        )
-                        continue
-                    params.covariate_effects[ckey] = cnode.mean - ref.mean
+                effects[key] = node.mean - ref_node.mean
     return params
 
 
@@ -97,11 +98,11 @@ def reconstruct_history_mean(
     """Invert the parametrization for one full history.
 
     The proportion source must be the same table the parameters were
-    extracted from (or an exact law with identical support). At each period
-    the fold subtracts the proportion-weighted average of that period's
-    effects over observed arms and adds the effect of the arm the history
-    actually took; the covariate periods do the same with covariate
-    effects.
+    extracted from (or an exact law with identical support). At each
+    stratum along the history, treatment and covariate alike, the fold
+    subtracts the proportion-weighted average of the effects over its
+    observed children and adds the effect of the child the history
+    actually took.
     """
     if history.time != table.horizon or not history.ends_with_treatment:
         raise EstimabilityError(
@@ -109,45 +110,20 @@ def reconstruct_history_mean(
         )
     total = params.grand_mean
     prefix = StratumKey()
-    for t in range(1, table.horizon + 1):
+    for depth, taken in enumerate(history.symbols()):
+        extend, ref, effects, kind = _stratum_step(params, depth, table.covariate_width)
         pnode = table.require(prefix)
-        z_t = history.treatments[t - 1]
-        for z, child in pnode.children.items():
-            if z == 0:
-                continue
-            akey = prefix.with_treatment(z)
-            if akey not in params.treatment_effects:
-                raise IncompletenessError(
-                    f"missing treatment effect for {akey.label()}"
-                )
-            total -= params.treatment_effects[akey] * (child.mass / pnode.mass)
-        if z_t > 0:
-            akey = prefix.with_treatment(z_t)
-            if akey not in params.treatment_effects:
-                raise IncompletenessError(
-                    f"missing treatment effect for {akey.label()}"
-                )
-            total += params.treatment_effects[akey]
-        prefix = prefix.with_treatment(z_t)
-        if t <= table.horizon - 1:
-            pnode = table.require(prefix)
-            zero = (0,) * table.covariate_width
-            x_t = history.covariates[t - 1]
-            for vec, child in pnode.children.items():
-                if vec == zero:
-                    continue
-                ckey = prefix.with_covariate(vec)
-                if ckey not in params.covariate_effects:
-                    raise IncompletenessError(
-                        f"missing covariate effect for {ckey.label()}"
-                    )
-                total -= params.covariate_effects[ckey] * (child.mass / pnode.mass)
-            if x_t != zero:
-                ckey = prefix.with_covariate(x_t)
-                if ckey not in params.covariate_effects:
-                    raise IncompletenessError(
-                        f"missing covariate effect for {ckey.label()}"
-                    )
-                total += params.covariate_effects[ckey]
-            prefix = prefix.with_covariate(x_t)
+
+        def effect(sym):
+            key = extend(prefix, sym)
+            if key not in effects:
+                raise IncompletenessError(f"missing {kind} effect for {key.label()}")
+            return effects[key]
+
+        for sym, child in pnode.children.items():
+            if sym != ref:
+                total -= effect(sym) * (child.mass / pnode.mass)
+        if taken != ref:
+            total += effect(taken)
+        prefix = extend(prefix, taken)
     return total

@@ -166,6 +166,8 @@ def simulate(dgp: DgpSpec, n: int, seed: int) -> Dataset:
     """Draw n records: multinomial over support cells, then cell noise."""
     if n < 1:
         raise DgpError("sample size must be at least 1")
+    if seed < 0:
+        raise DgpError(f"seed must be at least 0, not {seed}")
     cells = enumerate_support(dgp)
     probs = np.array([c.prob for c in cells])
     probs = probs / probs.sum()

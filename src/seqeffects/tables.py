@@ -4,6 +4,10 @@ One structure serves both evaluation modes: an empirical table built from a
 dataset (node masses are integer record counts) and an exact table built
 from an explicit joint law over full histories (masses are probabilities).
 A stratum's share of its parent is the ratio of the two node masses.
+The empirical table is built one level at a time from records sorted by
+history. Both builders keep every node's children in symbol order, so
+`levels` lists each depth in key-symbol order without sorting, and code
+reading children in dict order reads them sorted.
 The table keeps masses and means only; where a record sits is known to
 `Dataset.periods` alone. Internal-node means are always the mass-weighted
 aggregate of the leaves below, which is what the recursive computations
@@ -83,42 +87,31 @@ class MeanTable:
 
         z is (N, T) int, x is (N, T-1, w) int, y is (N,) float. Records are
         sorted once by interleaved history, so that every stratum is a
-        contiguous slice to count and sum.
+        contiguous run to count and sum, and the trie is built one level
+        at a time; a run's parent is the run above that holds its start.
         """
         n, horizon = z.shape
         width = x.shape[2] if x.ndim == 3 and x.shape[1] > 0 else 0
         order, cols = sort_histories(z, x)
         fs = np.column_stack(cols)[order]
         outcomes = np.ascontiguousarray(y[order], dtype=float)
-
-        # Column span of each trie level: single column for a treatment,
-        # `width` columns for a covariate vector.
-        spans = []
-        c = 0
-        for t in range(horizon):
-            spans.append((c, c + 1, True))
-            c += 1
-            if t < horizon - 1:
-                spans.append((c, c + width, False))
-                c += width
-
-        def build(lo: int, hi: int, level: int) -> TableNode:
-            node = TableNode(hi - lo, float(outcomes[lo:hi].sum()))
-            if level < len(spans):
-                a, b, is_treatment = spans[level]
-                seg = fs[lo:hi, a:b]
-                if seg.shape[0]:
-                    change = np.flatnonzero(np.any(seg[1:] != seg[:-1], axis=1)) + 1
-                    starts = np.concatenate(([0], change, [hi - lo]))
-                    for i in range(len(starts) - 1):
-                        row = seg[starts[i]]
-                        sym = int(row[0]) if is_treatment else tuple(int(v) for v in row)
-                        node.children[sym] = build(
-                            lo + int(starts[i]), lo + int(starts[i + 1]), level + 1
-                        )
-            return node
-
-        root = build(0, n, 0)
+        root = TableNode(n, float(outcomes.sum()))
+        # Each level's runs are the runs above, split where that level's
+        # columns change: one treatment column, or `width` covariate ones.
+        splits = np.arange(n) == 0
+        starts, nodes, a = np.zeros(1, dtype=np.int64), [root], 0
+        for depth in range(1, 2 * horizon):
+            b = a + (1 if depth % 2 else width)
+            splits[1:] |= np.any(fs[1:, a:b] != fs[:-1, a:b], axis=1)
+            runs = np.flatnonzero(splits)
+            parents = np.searchsorted(starts, runs, side="right") - 1
+            ends, rows = [*runs[1:].tolist(), n], fs[runs, a:b].tolist()
+            level = []
+            for lo, hi, p, row in zip(runs.tolist(), ends, parents.tolist(), rows):
+                node = TableNode(hi - lo, float(outcomes[lo:hi].sum()))
+                nodes[p].children[row[0] if depth % 2 else tuple(row)] = node
+                level.append(node)
+            starts, nodes, a = runs, level, b
         return cls(horizon, width, root)
 
     @classmethod
@@ -195,23 +188,17 @@ class MeanTable:
         return self.require(key).mean
 
     def levels(self) -> list[list[tuple[StratumKey, TableNode]]]:
-        """All observed strata grouped by interleaved depth, root first."""
+        """All observed strata grouped by interleaved depth, root first.
+
+        Each level is built from the one above in child order, which is
+        symbol order, so every level is sorted by key symbols.
+        """
         if self._levels is None:
-            out: list[list[tuple[StratumKey, TableNode]]] = [
-                [] for _ in range(2 * self.horizon)
-            ]
-            stack: list[tuple[StratumKey, TableNode]] = [(StratumKey(), self.root)]
-            while stack:
-                key, node = stack.pop()
-                out[key.depth].append((key, node))
-                for sym, child in node.children.items():
-                    if key.ends_with_treatment:
-                        ckey = key.with_covariate(sym)
-                    else:
-                        ckey = key.with_treatment(sym)
-                    stack.append((ckey, child))
-            for level in out:
-                level.sort(key=lambda item: item[0].symbols())
+            out = [[(StratumKey(), self.root)]]
+            for depth in range(1, 2 * self.horizon):
+                extend = (StratumKey.with_covariate, StratumKey.with_treatment)[depth % 2]
+                out.append([(extend(key, sym), child) for key, node in out[-1]
+                            for sym, child in node.children.items()])
             self._levels = out
         return self._levels
 

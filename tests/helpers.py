@@ -18,22 +18,28 @@ from seqeffects import (
     Dataset,
     DomainError,
     EstimabilityError,
+    IncompletenessError,
     MarkovKey,
     MeanTable,
+    NetEffectTable,
     ParseError,
+    PointParams,
     ResamplingReport,
     StratumKey,
+    downstream_weighted_sum,
     point_effect_targets,
 )
 from seqeffects.dataset import _parse_header
 from seqeffects.estimation import FlaggedPair
+from seqeffects.tables import TableNode, sort_histories
 
 
-def complete_histories(horizon, covariate_width):
-    """All full (z, x) binary histories for the given shape."""
+def complete_histories(horizon, covariate_width, levels=2):
+    """All full (z, x) histories for the given shape: treatment codes
+    0..levels-1, binary covariates."""
     histories = [((), ())]
     for t in range(1, horizon + 1):
-        histories = [(zs + (z,), xs) for zs, xs in histories for z in (0, 1)]
+        histories = [(zs + (z,), xs) for zs, xs in histories for z in range(levels)]
         if t < horizon:
             cells = list(itertools.product((0, 1), repeat=covariate_width))
             histories = [(zs, xs + (vec,)) for zs, xs in histories for vec in cells]
@@ -53,6 +59,19 @@ def random_complete_table(rng, horizon, covariate_width=1):
         h: (float(p), float(rng.uniform(-40.0, 160.0)))
         for h, p in zip(histories, probs)
     }
+    return MeanTable.from_entries(horizon, width, entries)
+
+
+def random_law_table(seed, horizon, covariate_width=1, levels=2, drop=0.0):
+    """A random exact law over the histories of `complete_histories`, each
+    dropped with probability `drop` (one is always kept), so that strata
+    may lack their control arm or zero covariate vector."""
+    rng = np.random.default_rng(seed)
+    width = 0 if horizon == 1 else covariate_width
+    histories = complete_histories(horizon, width, levels)
+    kept = [h for h in histories if rng.random() >= drop] or histories[:1]
+    probs = rng.dirichlet(np.ones(len(kept)))
+    entries = {h: (float(p), float(rng.uniform(-40.0, 160.0))) for h, p in zip(kept, probs)}
     return MeanTable.from_entries(horizon, width, entries)
 
 
@@ -285,6 +304,40 @@ def expected_covariance_reference(d, sigma2=1.0):
     return targets, cov
 
 
+def null_statistic_reference(d, variance_mode):
+    """The null test's statistic e' V^-1 e and its degrees of freedom, from
+    one dense covariance over every target with a finite positive variance.
+
+    Arm and control mean variances come from numpy's ddof=1 variance (or
+    sigma^2 / n); two targets covary, by the control-mean variance, when
+    they share a parent stratum. This is the joint statistic that the
+    library's block-by-block sum must equal.
+    """
+
+    def mean_var(values):
+        if variance_mode.kind == "known":
+            return variance_mode.sigma2 / values.size
+        if values.size < 2:
+            return math.inf
+        return float(np.var(values, ddof=1)) / values.size
+
+    usable = []
+    for t in point_effect_targets(d)[0]:
+        va, vc = mean_var(t.arm_values), mean_var(t.control_values)
+        if math.isfinite(va + vc) and va + vc > 0.0:
+            usable.append((t, va, vc))
+    m = len(usable)
+    cov = np.zeros((m, m))
+    for i, (t, va, vc) in enumerate(usable):
+        cov[i, i] = va + vc
+        for j in range(i + 1, m):
+            other = usable[j][0]
+            if t.time == other.time and t.key.parent_stratum() == other.key.parent_stratum():
+                cov[i, j] = cov[j, i] = vc
+    e = np.array([float(t.arm_values.mean() - t.control_values.mean()) for t, _, _ in usable])
+    return float(e @ np.linalg.solve(cov, e)), m
+
+
 def resampling_reference(d, reps, seed, sigma2, notes=()):
     """Resampling diagnostic with one replication and one target at a time.
 
@@ -510,3 +563,193 @@ def _reference_rows(reader):
     else:
         x = np.zeros((len(zs), 0, 0), dtype=np.int64)
     return Dataset(z, x, np.array(ys, dtype=float), ids)
+
+
+def table_from_arrays_reference(z, x, y):
+    """The recursive trie builder that the level-wise `MeanTable.from_arrays`
+    replaced: one node at a time, each splitting its slice of the sorted
+    records where the next level's columns change."""
+    n, horizon = z.shape
+    width = x.shape[2] if x.ndim == 3 and x.shape[1] > 0 else 0
+    order, cols = sort_histories(z, x)
+    fs = np.column_stack(cols)[order]
+    outcomes = np.ascontiguousarray(y[order], dtype=float)
+    spans = []
+    c = 0
+    for t in range(horizon):
+        spans.append((c, c + 1, True))
+        c += 1
+        if t < horizon - 1:
+            spans.append((c, c + width, False))
+            c += width
+
+    def build(lo, hi, level):
+        node = TableNode(hi - lo, float(outcomes[lo:hi].sum()))
+        if level < len(spans):
+            a, b, is_treatment = spans[level]
+            seg = fs[lo:hi, a:b]
+            if seg.shape[0]:
+                change = np.flatnonzero(np.any(seg[1:] != seg[:-1], axis=1)) + 1
+                starts = np.concatenate(([0], change, [hi - lo]))
+                for i in range(len(starts) - 1):
+                    row = seg[starts[i]]
+                    sym = int(row[0]) if is_treatment else tuple(int(v) for v in row)
+                    node.children[sym] = build(
+                        lo + int(starts[i]), lo + int(starts[i + 1]), level + 1
+                    )
+        return node
+
+    return MeanTable(horizon, width, build(0, n, 0))
+
+
+def assert_same_trie(a, b):
+    """Node for node: the same children in the same order, and masses and
+    sums that compare equal and have the same type."""
+    stack = [(a, b)]
+    while stack:
+        p, q = stack.pop()
+        assert (p.mass, p.ysum) == (q.mass, q.ysum)
+        assert (type(p.mass), type(p.ysum)) == (type(q.mass), type(q.ysum))
+        assert list(p.children) == list(q.children)
+        stack.extend(zip(p.children.values(), q.children.values()))
+
+
+def levels_reference(table):
+    """Every stratum by depth from a depth-first walk, each level sorted by
+    key symbols: the listing that the level-by-level `levels` replaced."""
+    out = [[] for _ in range(2 * table.horizon)]
+    stack = [(StratumKey(), table.root)]
+    while stack:
+        key, node = stack.pop()
+        out[key.depth].append((key, node))
+        for sym, child in node.children.items():
+            if key.ends_with_treatment:
+                stack.append((key.with_covariate(sym), child))
+            else:
+                stack.append((key.with_treatment(sym), child))
+    for level in out:
+        level.sort(key=lambda item: item[0].symbols())
+    return out
+
+
+def incomplete_arms_reference(table):
+    """Arms with a stratum below them that holds no control arm, found in a
+    pass of their own before the recursion runs."""
+    out = set()
+    for depth in range(2 * table.horizon - 3, 0, -2):
+        for _, node in levels_reference(table)[depth]:
+            for stratum in node.children.values():
+                arms = stratum.children
+                if 0 not in arms or any(g in out for g in arms.values()):
+                    out.add(node)
+                    break
+    return out
+
+
+def net_effects_reference(table):
+    """The backward recursion over sorted arms, skipping the arms that
+    `incomplete_arms_reference` lists. Loads come from the library's
+    kernel, which has tests of its own against `downstream_walk`, so the
+    arithmetic is the library's. Returns (NetEffectTable, incomplete arms)."""
+    incomplete = incomplete_arms_reference(table)
+    levels = levels_reference(table)
+    net = NetEffectTable(table.horizon)
+    load = downstream_weighted_sum(table, net.effects.__getitem__)
+    for t in range(table.horizon, 0, -1):
+        for pkey, pnode in levels[2 * (t - 1)]:
+            base = None
+            for z, anode in sorted(pnode.children.items()):
+                if anode in incomplete:
+                    continue
+                akey = pkey.with_treatment(z)
+                mean = anode.derived_mean - load(akey, anode)
+                net.control_means[akey] = mean
+                if z == 0:
+                    base = mean
+                elif base is not None:
+                    net.effects[akey] = mean - base
+    return net, incomplete
+
+
+def point_params_reference(table):
+    """Point parameters in two halves per period, treatments then
+    covariates. Returns (PointParams, the skip messages in order)."""
+    levels = levels_reference(table)
+    params = PointParams(grand_mean=table.root.mean)
+    skipped = []
+    horizon = table.horizon
+    for t in range(1, horizon + 1):
+        for pkey, pnode in levels[2 * (t - 1)]:
+            control = pnode.children.get(0)
+            for z, anode in pnode.children.items():
+                if z == 0:
+                    continue
+                akey = pkey.with_treatment(z)
+                if control is None:
+                    skipped.append(f"no control arm for {akey.label()}; effect skipped")
+                    continue
+                params.treatment_effects[akey] = anode.mean - control.mean
+        if t <= horizon - 1:
+            zero = (0,) * table.covariate_width
+            for pkey, pnode in levels[2 * t - 1]:
+                ref = pnode.children.get(zero)
+                for vec, cnode in pnode.children.items():
+                    if vec == zero:
+                        continue
+                    ckey = pkey.with_covariate(vec)
+                    if ref is None:
+                        skipped.append(
+                            f"no reference covariate for {ckey.label()}; effect skipped"
+                        )
+                        continue
+                    params.covariate_effects[ckey] = cnode.mean - ref.mean
+    return params, skipped
+
+
+def reconstruct_history_mean_reference(params, table, history):
+    """The fold over one full history, a treatment half and a covariate
+    half per period."""
+    if history.time != table.horizon or not history.ends_with_treatment:
+        raise EstimabilityError(
+            f"{history.label()} is not a full history for horizon {table.horizon}"
+        )
+    total = params.grand_mean
+    prefix = StratumKey()
+    for t in range(1, table.horizon + 1):
+        pnode = table.require(prefix)
+        z_t = history.treatments[t - 1]
+        for z, child in pnode.children.items():
+            if z == 0:
+                continue
+            akey = prefix.with_treatment(z)
+            if akey not in params.treatment_effects:
+                raise IncompletenessError(f"missing treatment effect for {akey.label()}")
+            total -= params.treatment_effects[akey] * (child.mass / pnode.mass)
+        if z_t > 0:
+            akey = prefix.with_treatment(z_t)
+            if akey not in params.treatment_effects:
+                raise IncompletenessError(f"missing treatment effect for {akey.label()}")
+            total += params.treatment_effects[akey]
+        prefix = prefix.with_treatment(z_t)
+        if t <= table.horizon - 1:
+            pnode = table.require(prefix)
+            zero = (0,) * table.covariate_width
+            x_t = history.covariates[t - 1]
+            for vec, child in pnode.children.items():
+                if vec == zero:
+                    continue
+                ckey = prefix.with_covariate(vec)
+                if ckey not in params.covariate_effects:
+                    raise IncompletenessError(
+                        f"missing covariate effect for {ckey.label()}"
+                    )
+                total -= params.covariate_effects[ckey] * (child.mass / pnode.mass)
+            if x_t != zero:
+                ckey = prefix.with_covariate(x_t)
+                if ckey not in params.covariate_effects:
+                    raise IncompletenessError(
+                        f"missing covariate effect for {ckey.label()}"
+                    )
+                total += params.covariate_effects[ckey]
+            prefix = prefix.with_covariate(x_t)
+    return total

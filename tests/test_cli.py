@@ -207,6 +207,50 @@ def test_simulate_bad_rule_file_exits_one(tmp_path):
     assert main(["simulate", "--dgp", dgp, "--n", "10", "--seed", "1", "--out", str(tmp_path / "x.csv")]) == 1
 
 
+def error_lines(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+def test_simulate_negative_seed_exits_one(tmp_path, capsys):
+    dgp = write(tmp_path, "rules.dgp", PATTERN_DGP)
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--dgp", dgp, "--n", "10", "--seed", "-1", "--out", str(out)]) == 1
+    assert error_lines(capsys) == ["error: seed must be at least 0, not -1"]
+    assert not out.exists()
+
+
+def test_diagnose_negative_seed_exits_one(tmp_path, ref_csv, capsys):
+    out = tmp_path / "diag.json"
+    assert main(["diagnose", "--data", ref_csv, "--seed", "-2", "--out", str(out)]) == 1
+    assert error_lines(capsys) == ["error: seed must be at least 0, not -2"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "suggest-pattern", "simulate"])
+def test_a_pattern_or_rule_file_that_is_not_utf8_exits_one(tmp_path, ref_csv, capsys, command):
+    text = (PATTERN_DGP if command == "simulate" else THREE_GROUPS).encode()
+    path = tmp_path / "input.txt"
+    path.write_bytes(text[:20] + b"\xff" + text[20:])
+    if command == "simulate":
+        argv = ["simulate", "--dgp", str(path), "--n", "10", "--out", str(tmp_path / "x.csv")]
+    else:
+        argv = [command, "--data", ref_csv, "--pattern", str(path)]
+    assert main(argv) == 1
+    assert error_lines(capsys) == ["error: input is not UTF-8: byte 0xff at offset 20"]
+
+
+def test_a_pattern_file_with_a_bom_reads_as_without(tmp_path, ref_csv):
+    plain = write(tmp_path, "plain.txt", THREE_GROUPS)
+    bom = tmp_path / "bom.txt"
+    bom.write_bytes(b"\xef\xbb\xbf" + THREE_GROUPS.encode())
+    for name, pattern in (("a.json", plain), ("b.json", str(bom))):
+        out = str(tmp_path / name)
+        assert main(["estimate", "--data", ref_csv, "--pattern", pattern, "--out", out]) == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
 def test_diagnose_clean_data_exits_zero(tmp_path, ref_csv):
     out = tmp_path / "diag.json"
     code = main(

@@ -33,7 +33,9 @@ from seqeffects import estimation
 from helpers import (
     complete_histories,
     expected_covariance_reference,
+    null_statistic_reference,
     pooled_outcome_variance_reference,
+    random_panel,
     resampling_reference,
     standard_mean_equality_reference,
 )
@@ -216,6 +218,63 @@ def test_net_effect_null_test_values(d16):
     assert res.p_value < 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    horizon=st.integers(1, 3),
+    n=st.integers(30, 400),
+    levels=st.integers(3, 5),
+    estimated=st.booleans(),
+)
+def test_null_statistic_whitens_targets_that_share_a_control(
+    seed, horizon, n, levels, estimated
+):
+    d = random_panel(seed, horizon, 1, n, levels)
+    mode = VarianceMode.estimated() if estimated else VarianceMode.known(4.0)
+    try:
+        want, df = null_statistic_reference(d, mode)
+    except np.linalg.LinAlgError:
+        return
+    if df == 0:
+        with pytest.raises(EstimabilityError, match="usable variance"):
+            net_effect_null_test(d, mode)
+        return
+    res = net_effect_null_test(d, mode)
+    assert res.df == df
+    assert res.statistic == pytest.approx(want, rel=1e-9)
+    assert res.p_value == float(chi2.sf(res.statistic, res.df))
+
+
+def test_null_test_whitens_a_singular_block_by_its_rank():
+    # Estimated variances: arms 1 and 2 have no spread, so their block's
+    # covariance is the control-mean variance times 11' and has rank 1.
+    rows = ["unit_id,z1,y"] + [f"c{i},0,{v}" for i, v in enumerate([1.0, 3.0, 2.0, 6.0])]
+    rows += [f"a{i},1,4.0" for i in range(3)] + [f"b{i},2,7.0" for i in range(2)]
+    d = load_dataset(io.StringIO("\n".join(rows) + "\n"))
+    res = net_effect_null_test(d, VarianceMode.estimated())
+    control = np.array([1.0, 3.0, 2.0, 6.0])
+    vc = np.var(control, ddof=1) / 4
+    e = np.array([4.0, 7.0]) - control.mean()
+    assert res.df == 1
+    assert res.statistic == pytest.approx(e.sum() ** 2 / (4 * vc), rel=1e-12)
+
+
+def test_null_test_holds_its_level_when_nine_arms_share_a_control():
+    # One period, nine uniform arms and no effect: eight targets per draw,
+    # all contrasted against one control mean. Summing squared z-scores
+    # as if they were independent rejected in about 10% of draws.
+    draws, n, alpha = 2000, 1800, 0.05
+    ids = [f"u{i}" for i in range(n)]
+    rejects = 0
+    for r in range(draws):
+        rng = np.random.default_rng([2024, r])
+        z = rng.integers(0, 9, size=(n, 1))
+        d = Dataset(z, np.zeros((n, 0, 1), dtype=np.int64), rng.standard_normal(n), ids)
+        rejects += net_effect_null_test(d, VarianceMode.known(1.0)).p_value < alpha
+    se = np.sqrt(alpha * (1 - alpha) / draws)
+    assert abs(rejects / draws - alpha) <= 3 * se, rejects / draws
+
+
 def test_standard_equality_test_values(d16):
     res = standard_mean_equality_test(d16, VarianceMode.known(1.0))
     # between-cell sum of squares within the two covariate profiles
@@ -338,6 +397,15 @@ def test_negative_reps_are_a_usage_error_before_any_work(dref, monkeypatch):
     monkeypatch.setattr(estimation, "expected_target_covariance", no_work)
     with pytest.raises(UsageError, match="reps must be at least 0, not -4"):
         resampling_diagnostic(dref, reps=-4, sigma2=25.0)
+
+
+def test_negative_seed_is_a_usage_error_before_any_work(dref, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the expected covariance was computed")
+
+    monkeypatch.setattr(estimation, "expected_target_covariance", no_work)
+    with pytest.raises(UsageError, match="seed must be at least 0, not -2"):
+        resampling_diagnostic(dref, reps=10, seed=-2, sigma2=25.0)
 
 
 def assert_same_report(report, reference):

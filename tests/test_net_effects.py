@@ -17,11 +17,13 @@ from seqeffects import (
 )
 from helpers import (
     downstream_walk,
+    net_effects_reference,
     random_complete_table,
+    random_law_table,
     random_panel,
     walk_decomposition_gap,
 )
-from seqeffects.net_effects import _incomplete_arms, _net_effects
+from seqeffects.net_effects import _net_effects
 
 
 def test_small_fixture_effects(d16):
@@ -270,10 +272,32 @@ def test_partial_net_effects_keep_the_identity_on_incomplete_panels(
     checked = [e.key for e in report.entries] + [k for k, _ in report.skipped]
     assert sorted(k.label() for k in checked) == sorted(k.label() for k in active_arms(table))
     assert not report.skipped or missing_controls(table)
-    net = _net_effects(table, _incomplete_arms(table))
+    net, _ = _net_effects(table)
     assert set(net.effects) == {e.key for e in report.entries}
     assert walk_decomposition_gap(table, net.effects) < 1e-10
     assert report.max_deviation < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    horizon=st.integers(1, 4),
+    width=st.integers(1, 2),
+    n=st.integers(6, 300),
+    levels=st.sampled_from([2, 3]),
+    drop=st.sampled_from([0.0, 0.2, 0.6]),
+)
+def test_one_pass_recursion_leaves_out_what_the_separate_pass_did(
+    seed, horizon, width, n, levels, drop
+):
+    panel = random_panel(seed, horizon, width, n, levels).table
+    law = random_law_table(seed, horizon, width, levels, drop)
+    for table in (panel, law):
+        net, left_out = _net_effects(table)
+        ref, ref_left_out = net_effects_reference(table)
+        assert left_out == ref_left_out
+        assert list(net.effects.items()) == list(ref.effects.items())
+        assert list(net.control_means.items()) == list(ref.control_means.items())
 
 
 def test_missing_control_raises_with_labels():

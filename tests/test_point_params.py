@@ -1,8 +1,26 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqeffects import StratumKey, extract_point_params, reconstruct_history_mean
-from helpers import random_complete_table
+from seqeffects import (
+    EstimabilityError,
+    IncompletenessError,
+    StratumKey,
+    extract_point_params,
+    point_params,
+    reconstruct_history_mean,
+)
+from helpers import (
+    complete_histories,
+    point_params_reference,
+    random_complete_table,
+    random_law_table,
+    random_panel,
+    reconstruct_history_mean_reference,
+)
 
 
 def test_small_fixture_parameters(d16):
@@ -66,3 +84,41 @@ def test_effects_key_on_arm_strata(d16):
         assert key.arm() > 0
     for key in p.covariate_effects:
         assert not key.ends_with_treatment
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (EstimabilityError, IncompletenessError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    horizon=st.integers(1, 4),
+    width=st.integers(1, 2),
+    n=st.integers(6, 300),
+    levels=st.sampled_from([2, 3]),
+    drop=st.sampled_from([0.0, 0.2, 0.6]),
+)
+def test_one_depth_loop_equals_the_two_half_reference(seed, horizon, width, n, levels, drop):
+    panel = random_panel(seed, horizon, width, n, levels).table
+    law = random_law_table(seed, horizon, width, levels, drop)
+    rng = np.random.default_rng(seed)
+    shape = complete_histories(horizon, width if horizon > 1 else 0, levels)
+    for table in (panel, law):
+        with mock.patch.object(point_params.log, "info") as info:
+            params = extract_point_params(table)
+        ref, skipped = point_params_reference(table)
+        assert [c.args[0] % c.args[1:] for c in info.call_args_list] == skipped
+        assert params.grand_mean == ref.grand_mean
+        assert list(params.treatment_effects.items()) == list(ref.treatment_effects.items())
+        assert list(params.covariate_effects.items()) == list(ref.covariate_effects.items())
+        # every observed history, some unobserved ones, and a partial key
+        histories = [key for key, _ in table.level(2 * horizon - 1)]
+        histories += [StratumKey(*shape[i]) for i in rng.integers(0, len(shape), 10)]
+        histories.append(StratumKey((0,), ()))
+        for key in histories:
+            got = _outcome(reconstruct_history_mean, params, table, key)
+            assert got == _outcome(reconstruct_history_mean_reference, ref, table, key)

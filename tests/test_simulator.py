@@ -83,6 +83,11 @@ def test_simulate_is_seed_deterministic():
     assert a.y.tolist() != c.y.tolist()
 
 
+def test_simulate_rejects_a_negative_seed():
+    with pytest.raises(DgpError, match="seed must be at least 0, not -1"):
+        simulate(parse_dgp(SIMPLE), 30, seed=-1)
+
+
 def test_simulate_draws_roughly_the_right_arm_shares():
     dgp = parse_dgp("horizon: 1\nassign: 0.3\neffect: 2\nsigma: 0.1\n")
     d = simulate(dgp, 4000, seed=11)

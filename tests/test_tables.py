@@ -1,8 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqeffects import DomainError, EstimabilityError, MeanTable, StratumKey
-from helpers import random_complete_table
+from helpers import (
+    assert_same_trie,
+    levels_reference,
+    random_complete_table,
+    random_law_table,
+    random_panel,
+    table_from_arrays_reference,
+)
+
+SHAPES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    horizon=st.integers(1, 4),
+    width=st.integers(1, 2),
+    levels=st.sampled_from([2, 3]),
+)
 
 
 def test_from_arrays_aggregates_counts_and_means(d16):
@@ -71,3 +87,21 @@ def test_interior_mean_is_mass_weighted():
     assert t.mean(StratumKey((0,), ((0,),))) == pytest.approx(20.0)
     assert t.mean(StratumKey((1,), ())) == pytest.approx(60.0)
     assert t.root.mean == pytest.approx(40.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 400), **SHAPES)
+def test_level_wise_build_matches_the_recursive_builder(seed, horizon, width, levels, n):
+    d = random_panel(seed, horizon, width, n, levels)
+    table = MeanTable.from_arrays(d.z, d.x, d.y)
+    assert (table.horizon, table.covariate_width) == (horizon, width if horizon > 1 else 0)
+    assert_same_trie(table.root, table_from_arrays_reference(d.z, d.x, d.y).root)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 200), drop=st.sampled_from([0.0, 0.3, 0.7]), **SHAPES)
+def test_levels_equal_the_sorted_depth_first_listing(seed, horizon, width, levels, n, drop):
+    panel = random_panel(seed, horizon, width, n, levels).table
+    law = random_law_table(seed, horizon, width, levels, drop)
+    for table in (panel, law):
+        assert table.levels() == levels_reference(table)
