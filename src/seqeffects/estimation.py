@@ -26,6 +26,7 @@ from .errors import (
     DiagnosticError,
     EstimabilityError,
     IdentifiabilityError,
+    PatternError,
     UsageError,
 )
 from .exprlang import compile_expr
@@ -244,6 +245,14 @@ def fit_net_effects(
     if not system.rows:
         raise EstimabilityError("no targets with a positive weight; nothing to fit")
     C = system.matrix
+    bad = np.argwhere(~np.isfinite(C))
+    if bad.size:
+        i, j = bad[0]
+        raise PatternError(
+            f"target {system.rows[i].key.label()}: the coefficient of parameter "
+            f"{spec.param_names[j]!r} is not finite ({float(C[i, j])!r}): its "
+            "feature row and downstream loads overflow when summed"
+        )
     b = np.array([row.estimate for row in system.rows])
     w = np.array([row.weight for row in system.rows])
     sqrt_w = np.sqrt(w)

@@ -29,6 +29,8 @@ from .errors import EstimabilityError, IncompletenessError
 from .keys import StratumKey
 from .tables import MeanTable, TableNode
 
+_DECOMPOSITION_TOL = 1e-8  # largest deviation verify_decomposition accepts
+
 
 @dataclass
 class NetEffectTable:
@@ -226,7 +228,7 @@ class DecompositionReport:
         }
 
 
-def verify_decomposition(table: MeanTable, tolerance: float = 1e-8) -> DecompositionReport:
+def verify_decomposition(table: MeanTable) -> DecompositionReport:
     """Contrast stored arm means against the net-effect decomposition.
 
     The direct side reads stored stratum means (overrides included), the
@@ -260,4 +262,4 @@ def verify_decomposition(table: MeanTable, tolerance: float = 1e-8) -> Decomposi
                             akey, direct, decompose_point_effect(net, table, akey)
                         )
                     )
-    return DecompositionReport(entries, tolerance, skipped)
+    return DecompositionReport(entries, _DECOMPOSITION_TOL, skipped)

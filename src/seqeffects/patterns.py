@@ -23,6 +23,7 @@ builds the history trie.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -84,7 +85,10 @@ class PatternSpec:
                     matched = True
                     break
             for j, term in enumerate(self.terms):
-                row[len(self.groups) + j] = term.expression.eval_number(env)
+                value = term.expression.eval_number(env)
+                if not math.isfinite(value):
+                    raise PatternError(f"term {term.name!r} is not finite: {value!r}")
+                row[len(self.groups) + j] = value
         except PatternError as exc:
             raise PatternError(f"at {key.label()}: {exc}") from None
         if not matched and not self.terms:

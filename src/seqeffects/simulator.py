@@ -8,8 +8,9 @@ samples, and causal ground truth all come from the same object and agree
 with each other by construction.
 
 The causal ground truth is computed by forcing: condition the latent
-class on the observed history, force the focal arm, then force every
-later treatment to control while covariates keep evolving. When the
+class on the observed history (each stratum's law with the class is read
+off the support listing), force the focal arm, then force every later
+treatment to control while covariates keep evolving. When the
 assignment never reads the latent class this matches the backward
 recursion on the population table; when it does, the gap between the two
 is exactly the confounding bias, which is what makes the pair useful in
@@ -26,7 +27,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import DgpError
-from .exprlang import CompiledExpr, CovariateView, TreatmentView, compile_expr
+from .exprlang import CovariateView, TreatmentView, compile_expr
 from .keys import Covariate, StratumKey
 from .tables import MeanTable
 
@@ -65,6 +66,8 @@ class DgpSpec:
     def __post_init__(self):
         if self.horizon < 1:
             raise DgpError("horizon must be at least 1")
+        if not math.isfinite(self.sigma):
+            raise DgpError(f"sigma must be finite, not {self.sigma!r}")
         if self.sigma < 0:
             raise DgpError("sigma must be non-negative")
         if self.covariate_width < 1:
@@ -210,14 +213,14 @@ def causal_net_effects(dgp: DgpSpec) -> dict[StratumKey, float]:
             total += pv * forced_value(u, t + 1, z + (0,), x + (vec,))
         return total
 
-    if dgp.latent_prob > 0.0:
-        start = {0: 1.0 - dgp.latent_prob, 1: dgp.latent_prob}
-    else:
-        start = {0: 1.0}
+    cells = enumerate_support(dgp)
     effects: dict[StratumKey, float] = {}
-    strata: dict[tuple, dict[int, float]] = {((), ()): start}
     for t in range(1, T + 1):
-        advanced: dict[tuple, dict[int, float]] = {}
+        # Each stratum's joint law with the latent class: its cells' sum.
+        strata: dict[tuple, dict[int, float]] = {}
+        for cell in cells:
+            joint = strata.setdefault((cell.treatments[: t - 1], cell.covariates[: t - 1]), {})
+            joint[cell.u] = joint.get(cell.u, 0.0) + cell.prob
         for (z, x), joint in sorted(strata.items()):
             total = sum(joint.values())
             contrast = 0.0
@@ -225,15 +228,6 @@ def causal_net_effects(dgp: DgpSpec) -> dict[StratumKey, float]:
                 forced = [forced_value(u, t, z + (arm,), x) for arm in (0, 1)]
                 contrast += (pu / total) * (forced[1] - forced[0])
             effects[StratumKey(z + (1,), x)] = contrast
-            if t == T:
-                continue
-            for u, pu in joint.items():
-                p1 = _assignment_prob(dgp, t, z, x, u)
-                for zt, pz in ((0, 1.0 - p1), (1, p1)):
-                    for vec, pv in _kernel_dist(dgp, t, z + (zt,), x, u):
-                        nxt = advanced.setdefault((z + (zt,), x + (vec,)), {})
-                        nxt[u] = nxt.get(u, 0.0) + pu * pz * pv
-        strata = advanced
     return effects
 
 
@@ -244,11 +238,8 @@ def dataset_from_table(table: MeanTable, scale: int, spread: float = 0.0) -> Dat
     positive spread, cell outcomes get mean-preserving offsets so sample
     variances exist; otherwise each cell is constant at its mean.
     """
-    T, w = table.horizon, table.covariate_width
-    rows_z: list[tuple[int, ...]] = []
-    rows_x: list[tuple] = []
-    ys: list[float] = []
-    for key, node in table.level(2 * T - 1):
+    cells = []
+    for key, node in table.level(2 * table.horizon - 1):
         exact = node.mass * scale
         count = round(exact)
         if count < 1 or abs(exact - count) > 1e-6:
@@ -256,16 +247,9 @@ def dataset_from_table(table: MeanTable, scale: int, spread: float = 0.0) -> Dat
                 f"scale {scale} does not turn mass {node.mass!r} of "
                 f"{key.label()} into a whole count"
             )
-        offsets = _spread_offsets(count, spread)
-        for i in range(count):
-            rows_z.append(key.treatments)
-            rows_x.append(key.covariates)
-            ys.append(node.derived_mean + offsets[i])
-    n = len(ys)
-    z = np.array(rows_z, dtype=np.int64).reshape(n, T)
-    x = np.array(rows_x, dtype=np.int64).reshape(n, T - 1, w)
-    ids = [f"p{i + 1:06d}" for i in range(n)]
-    return Dataset(z, x, np.array(ys), ids)
+        values = node.derived_mean + _spread_offsets(count, spread)
+        cells.append((key.treatments, key.covariates, values))
+    return _exact_dataset(cells, table.horizon, table.covariate_width, "p{:06d}")
 
 
 def _spread_offsets(n: int, magnitude: float) -> np.ndarray:
@@ -297,7 +281,7 @@ def make_small_fixture() -> Dataset:
         ((1, 0), (1,), [140.0]),
         ((1, 1), (1,), [120.0, 130.0, 140.0]),
     ]
-    return _dataset_from_cells(cells, horizon=2, width=1, prefix="r")
+    return _exact_dataset(cells, 2, 1, "r{:03d}")
 
 
 def make_reference_fixture() -> Dataset:
@@ -317,25 +301,18 @@ def make_reference_fixture() -> Dataset:
         ((1, 0), (1,), 30, 130.5),
         ((1, 1), (1,), 30, 110.5),
     ]
-    expanded = [
-        (z, x, list(mean + _spread_offsets(count, 4.0)))
-        for z, x, count, mean in cells
-    ]
-    return _dataset_from_cells(expanded, horizon=2, width=1, prefix="r")
+    expanded = [(z, x, mean + _spread_offsets(count, 4.0)) for z, x, count, mean in cells]
+    return _exact_dataset(expanded, 2, 1, "r{:03d}")
 
 
-def _dataset_from_cells(cells, horizon: int, width: int, prefix: str) -> Dataset:
-    rows_z, rows_x, ys = [], [], []
-    for z, x, values in cells:
-        for v in values:
-            rows_z.append(z)
-            rows_x.append(x)
-            ys.append(v)
-    n = len(ys)
-    z = np.array(rows_z, dtype=np.int64)
-    x = np.array(rows_x, dtype=np.int64).reshape(n, horizon - 1, width)
-    ids = [f"{prefix}{i + 1:03d}" for i in range(n)]
-    return Dataset(z, x, np.array(ys), ids)
+def _exact_dataset(cells, horizon: int, width: int, id_format: str) -> Dataset:
+    """Records repeating each cell's (z, x) once per value in its outcomes."""
+    n, counts = len(cells), [len(values) for _, _, values in cells]
+    z = np.array([c[0] for c in cells], dtype=np.int64).reshape(n, horizon)
+    x = np.array([c[1] for c in cells], dtype=np.int64).reshape(n, horizon - 1, width)
+    y = np.concatenate([np.asarray(values, dtype=float) for _, _, values in cells])
+    ids = [id_format.format(i + 1) for i in range(len(y))]
+    return Dataset(np.repeat(z, counts, axis=0), np.repeat(x, counts, axis=0), y, ids)
 
 
 def make_pattern_dgp() -> DgpSpec:
@@ -403,6 +380,10 @@ def make_sequential_dgp() -> DgpSpec:
     return DgpSpec(3, assignment, kernel, mean, sigma=1.0, latent_prob=0.4)
 
 
+def _markov_mean(z, x, u):
+    return 50.0 + sum(25.0 if s == 0 else 10.0 for s, v in enumerate(z) if v > 0)
+
+
 def make_markov_dgp(horizon: int = 8) -> DgpSpec:
     """Assignment reads only the previous step; effects are 25 then 10."""
 
@@ -415,10 +396,7 @@ def make_markov_dgp(horizon: int = 8) -> DgpSpec:
         p = 0.6 - 0.2 * z[t - 1]
         return {(0,): 1.0 - p, (1,): p}
 
-    def mean(z, x, u):
-        return 50.0 + sum(25.0 if s == 0 else 10.0 for s, v in enumerate(z) if v > 0)
-
-    return DgpSpec(horizon, assignment, kernel, mean, sigma=1.0)
+    return DgpSpec(horizon, assignment, kernel, _markov_mean, sigma=1.0)
 
 
 def make_dyadic_markov_dgp(horizon: int = 4) -> DgpSpec:
@@ -438,10 +416,7 @@ def make_dyadic_markov_dgp(horizon: int = 4) -> DgpSpec:
         p = 0.5 + 0.25 * z[t - 1]
         return {(0,): 1.0 - p, (1,): p}
 
-    def mean(z, x, u):
-        return 50.0 + sum(25.0 if s == 0 else 10.0 for s, v in enumerate(z) if v > 0)
-
-    return DgpSpec(horizon, assignment, kernel, mean, sigma=0.0)
+    return DgpSpec(horizon, assignment, kernel, _markov_mean, sigma=0.0)
 
 
 def make_null_proxy_dgp() -> DgpSpec:
@@ -475,19 +450,7 @@ _SCALARS = {
     "latent prob": float,
     "latent shift": float,
 }
-
-
-@dataclass
-class _RawRule:
-    predicate: str | None
-    value: str
-    line: int
-
-
-@dataclass
-class _Rule:
-    predicate: CompiledExpr | None
-    value: CompiledExpr
+_RULE_NAMES = frozenset({"t", "T", "u"})
 
 
 def parse_dgp(source: str) -> DgpSpec:
@@ -503,7 +466,8 @@ def parse_dgp(source: str) -> DgpSpec:
     history with no matching 'assign' rule is an error.
     """
     scalars: dict[str, float] = {}
-    rules: dict[str, list[_RawRule]] = {"assign": [], "covariate": [], "effect": []}
+    rules: dict[str, list[tuple]] = {"assign": [], "covariate": [], "effect": []}
+    reads_u: list[tuple[int, str]] = []
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -523,13 +487,21 @@ def parse_dgp(source: str) -> DgpSpec:
             continue
         kind, _, condition = head.partition(" when ")
         kind = kind.strip()
+        condition = condition.strip()
         if kind not in rules:
             raise DgpError(f"line {lineno}: unknown directive {head!r}")
-        if rules[kind] and rules[kind][-1].predicate is None:
+        if rules[kind] and rules[kind][-1][0] is None:
             raise DgpError(
                 f"line {lineno}: unreachable '{kind}' rule after its default"
             )
-        rules[kind].append(_RawRule(condition.strip() or None, body, lineno))
+        # 'u' is allowed here because 'latent prob' may come later.
+        try:
+            pred = compile_expr(condition, _RULE_NAMES, DgpError) if condition else None
+            value = compile_expr(body, _RULE_NAMES, DgpError)
+        except DgpError as exc:
+            raise DgpError(f"line {lineno}: {exc}") from None
+        reads_u += [(lineno, e.text) for e in (pred, value) if e and "u" in e.uses]
+        rules[kind].append((pred, value))
     if "horizon" not in scalars:
         raise DgpError("a rule file needs a 'horizon:' line")
     if not rules["assign"]:
@@ -538,21 +510,12 @@ def parse_dgp(source: str) -> DgpSpec:
     latent_prob = scalars.get("latent prob", 0.0)
     if "latent shift" in scalars and "latent prob" not in scalars:
         raise DgpError("'latent shift' without 'latent prob' has no meaning")
-    names = {"t", "T", "u"} if latent_prob > 0.0 else {"t", "T"}
-    compiled: dict[str, list[_Rule]] = {}
-    for kind, lst in rules.items():
-        compiled[kind] = []
-        for raw in lst:
-            try:
-                pred = (
-                    compile_expr(raw.predicate, names, DgpError)
-                    if raw.predicate is not None
-                    else None
-                )
-                value = compile_expr(raw.value, names, DgpError)
-            except DgpError as exc:
-                raise DgpError(f"line {raw.line}: {exc}") from None
-            compiled[kind].append(_Rule(pred, value))
+    if reads_u and not latent_prob > 0.0:
+        lineno, text = reads_u[0]
+        try:
+            compile_expr(text, {"t", "T"}, DgpError)
+        except DgpError as exc:
+            raise DgpError(f"line {lineno}: {exc}") from None
     base = scalars.get("base", 0.0)
     shift = scalars.get("latent shift", 0.0)
     sigma = scalars.get("sigma", 1.0)
@@ -564,20 +527,19 @@ def parse_dgp(source: str) -> DgpSpec:
         return f"x[{s}] is not realized yet at this point of the law"
 
     def env_for(t, z, x, u):
-        env = {
+        # Without a latent class u is always 0 and no rule reads it.
+        return {
             "t": t,
             "T": horizon,
+            "u": u,
             "z": TreatmentView(1, z, DgpError, z_beyond),
             "x": CovariateView(1, x, DgpError, x_beyond),
         }
-        if latent_prob > 0.0:
-            env["u"] = u
-        return env
 
     def apply(kind, env):
-        for rule in compiled[kind]:
-            if rule.predicate is None or rule.predicate.eval_predicate(env):
-                return rule.value.eval_number(env)
+        for pred, value in rules[kind]:
+            if pred is None or pred.eval_predicate(env):
+                return value.eval_number(env)
         return None
 
     def assignment(t, z, x, u):
@@ -591,11 +553,7 @@ def parse_dgp(source: str) -> DgpSpec:
         p = 0.0 if p is None else p
         if not 0.0 <= p <= 1.0:
             raise DgpError(f"covariate probability {p!r} at time {t} is outside [0, 1]")
-        if p == 0.0:
-            return {(0,): 1.0}
-        if p == 1.0:
-            return {(1,): 1.0}
-        return {(0,): 1.0 - p, (1,): p}
+        return {(0,): 1.0 - p, (1,): p}  # _kernel_dist drops a zero branch
 
     def mean(z, x, u):
         total = base + shift * u

@@ -31,6 +31,7 @@ from seqeffects import (
 )
 from seqeffects.dataset import _parse_header
 from seqeffects.estimation import FlaggedPair
+from seqeffects.simulator import _assignment_prob, _kernel_dist, _spread_offsets
 from seqeffects.tables import TableNode, sort_histories
 
 
@@ -753,3 +754,111 @@ def reconstruct_history_mean_reference(params, table, history):
                 total += params.covariate_effects[ckey]
             prefix = prefix.with_covariate(x_t)
     return total
+
+
+def causal_net_effects_reference(dgp):
+    """The forward walk over the law: each stratum's joint law with the
+    latent class is carried forward through the assignment and the
+    kernel, then the focal arm and all later controls are forced."""
+    T = dgp.horizon
+
+    def forced_value(u, t, z, x):
+        if t == T:
+            return float(dgp.outcome_mean(z, x, u))
+        total = 0.0
+        for vec, pv in _kernel_dist(dgp, t, z, x, u):
+            total += pv * forced_value(u, t + 1, z + (0,), x + (vec,))
+        return total
+
+    if dgp.latent_prob > 0.0:
+        start = {0: 1.0 - dgp.latent_prob, 1: dgp.latent_prob}
+    else:
+        start = {0: 1.0}
+    effects = {}
+    strata = {((), ()): start}
+    for t in range(1, T + 1):
+        advanced = {}
+        for (z, x), joint in sorted(strata.items()):
+            total = sum(joint.values())
+            contrast = 0.0
+            for u, pu in joint.items():
+                forced = [forced_value(u, t, z + (arm,), x) for arm in (0, 1)]
+                contrast += (pu / total) * (forced[1] - forced[0])
+            effects[StratumKey(z + (1,), x)] = contrast
+            if t == T:
+                continue
+            for u, pu in joint.items():
+                p1 = _assignment_prob(dgp, t, z, x, u)
+                for zt, pz in ((0, 1.0 - p1), (1, p1)):
+                    for vec, pv in _kernel_dist(dgp, t, z + (zt,), x, u):
+                        nxt = advanced.setdefault((z + (zt,), x + (vec,)), {})
+                        nxt[u] = nxt.get(u, 0.0) + pu * pz * pv
+        strata = advanced
+    return effects
+
+
+def dataset_from_table_reference(table, scale, spread=0.0):
+    """One record at a time: each full history repeated mass * scale
+    times, its outcomes the derived mean plus the spread offsets."""
+    T, w = table.horizon, table.covariate_width
+    rows_z, rows_x, ys = [], [], []
+    for key, node in table.level(2 * T - 1):
+        count = round(node.mass * scale)
+        offsets = _spread_offsets(count, spread)
+        for i in range(count):
+            rows_z.append(key.treatments)
+            rows_x.append(key.covariates)
+            ys.append(node.derived_mean + offsets[i])
+    n = len(ys)
+    z = np.array(rows_z, dtype=np.int64).reshape(n, T)
+    x = np.array(rows_x, dtype=np.int64).reshape(n, T - 1, w)
+    ids = [f"p{i + 1:06d}" for i in range(n)]
+    return Dataset(z, x, np.array(ys), ids)
+
+
+def _dataset_from_cells_reference(cells):
+    """Two-period records from (z, x, outcomes) cells, ids r001, r002, ..."""
+    rows_z, rows_x, ys = [], [], []
+    for z, x, values in cells:
+        for v in values:
+            rows_z.append(z)
+            rows_x.append(x)
+            ys.append(v)
+    n = len(ys)
+    z = np.array(rows_z, dtype=np.int64)
+    x = np.array(rows_x, dtype=np.int64).reshape(n, 1, 1)
+    ids = [f"r{i + 1:03d}" for i in range(n)]
+    return Dataset(z, x, np.array(ys), ids)
+
+
+def small_fixture_reference():
+    """`make_small_fixture`, built one record at a time."""
+    cells = [
+        ((0, 0), (0,), [95.0, 105.0]),
+        ((0, 1), (0,), [110.0, 130.0]),
+        ((0, 0), (1,), [104.0, 116.0]),
+        ((0, 1), (1,), [126.0, 134.0]),
+        ((1, 0), (0,), [115.0]),
+        ((1, 1), (0,), [125.0, 135.0, 145.0]),
+        ((1, 0), (1,), [140.0]),
+        ((1, 1), (1,), [120.0, 130.0, 140.0]),
+    ]
+    return _dataset_from_cells_reference(cells)
+
+
+def reference_fixture_reference():
+    """`make_reference_fixture`, built one record at a time."""
+    cells = [
+        ((0, 0), (0,), 30, 88.0),
+        ((0, 1), (0,), 30, 108.0),
+        ((0, 0), (1,), 15, 101.0),
+        ((0, 1), (1,), 5, 121.0),
+        ((1, 0), (0,), 5, 93.5),
+        ((1, 1), (0,), 15, 113.5),
+        ((1, 0), (1,), 30, 130.5),
+        ((1, 1), (1,), 30, 110.5),
+    ]
+    expanded = [
+        (z, x, list(mean + _spread_offsets(count, 4.0))) for z, x, count, mean in cells
+    ]
+    return _dataset_from_cells_reference(expanded)

@@ -221,6 +221,45 @@ def test_simulate_negative_seed_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_simulate_non_finite_sigma_exits_one(tmp_path, capsys, sigma):
+    dgp = write(tmp_path, "rules.dgp", f"horizon: 1\nsigma: {sigma}\nassign: 0.5\neffect: 1\n")
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--dgp", dgp, "--n", "10", "--out", str(out)]) == 1
+    assert error_lines(capsys) == [f"error: sigma must be finite, not {sigma}"]
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def markov3_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("markov3") / "panel.csv"
+    save_dataset(simulate(make_markov_dgp(3), 2000, 1), path)
+    return str(path)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["estimate", "suggest-pattern"])
+def test_a_term_that_is_not_finite_exits_two(tmp_path, markov3_csv, capsys, command):
+    # At z[2] = 0 the term is inf * 0, which is nan.
+    pattern = write(tmp_path, "pat.txt", "term big: 1e308 * 10 * z[t-1]\n")
+    assert main([command, "--data", markov3_csv, "--pattern", pattern]) == 2
+    assert error_lines(capsys) == [
+        "error: at z1=0 x1=0 z2=0 x2=0 z3=1: term 'big' is not finite: nan"
+    ]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["estimate", "suggest-pattern"])
+def test_a_downstream_load_that_overflows_exits_two(tmp_path, markov3_csv, capsys, command):
+    # Every feature is finite, but summed over later periods they overflow.
+    pattern = write(tmp_path, "pat.txt", "term big: 1e308 * z[t-1]\n")
+    assert main([command, "--data", markov3_csv, "--pattern", pattern]) == 2
+    assert error_lines(capsys) == [
+        "error: target z1=1: the coefficient of parameter 'big' is not finite (nan): "
+        "its feature row and downstream loads overflow when summed"
+    ]
+
+
 def test_diagnose_negative_seed_exits_one(tmp_path, ref_csv, capsys):
     out = tmp_path / "diag.json"
     assert main(["diagnose", "--data", ref_csv, "--seed", "-2", "--out", str(out)]) == 1

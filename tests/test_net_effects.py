@@ -151,6 +151,7 @@ def test_verify_clean_table(d16):
     assert not report.flagged
     assert report.max_deviation < 1e-12
     assert len(report.entries) == 5
+    assert report.to_dict()["tolerance"] == 1e-08
 
 
 def test_verify_flags_a_corrupt_leaf(d16):

@@ -1,16 +1,32 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import (
+    causal_net_effects_reference,
+    dataset_from_table_reference,
+    reference_fixture_reference,
+    small_fixture_reference,
+)
 from seqeffects import (
     DgpError,
+    MeanTable,
     StratumKey,
     causal_net_effects,
     compute_net_effects,
     dataset_from_table,
     enumerate_support,
     make_confounded_dgp,
+    make_dyadic_markov_dgp,
+    make_markov_dgp,
     make_null_proxy_dgp,
     make_pattern_dgp,
+    make_reference_fixture,
+    make_sequential_dgp,
+    make_small_fixture,
     parse_dgp,
     population_table,
     simulate,
@@ -146,3 +162,198 @@ def test_confounded_dgp_biases_only_the_first_period():
 def test_null_proxy_dgp_has_no_causal_effects():
     truth = causal_net_effects(make_null_proxy_dgp())
     assert max(abs(v) for v in truth.values()) == 0.0
+
+
+def test_a_non_finite_sigma_is_rejected_by_name():
+    for text in ("nan", "inf"):
+        with pytest.raises(DgpError, match=f"^sigma must be finite, not {text}$"):
+            parse_dgp(f"horizon: 1\nsigma: {text}\nassign: 0.5\neffect: 1\n")
+
+
+@st.composite
+def rule_files(draw):
+    """Random rule files whose assignment stays inside (0, 1) and whose
+    covariate probability stays inside [0, 1]: every law they describe
+    is valid. With a latent class, rules may read u, and the latent
+    lines may come after the rules."""
+    horizon = draw(st.integers(1, 4))
+    latent = draw(st.booleans())
+    reads = ["z[t-1]", "x[t-1][1]"] + (["u"] if latent else [])
+    conditions = ["t == 1", "t >= 2", "z[t-1] == 1", "x[t-1][1] == 0"]
+    conditions += ["u == 1"] if latent else []
+
+    def hundredths(lo, hi):
+        return draw(st.integers(lo, hi)) / 100
+
+    def linear(base, coef, names, terms):
+        text = f"{hundredths(*base)}"
+        for name in draw(st.lists(st.sampled_from(names), max_size=terms, unique=True)):
+            text += f" + {hundredths(*coef)} * {name}"
+        return text
+
+    def rules(kind, value, default):
+        out = []
+        for condition in draw(st.lists(st.sampled_from(conditions), max_size=2)):
+            out.append(f"{kind} when {condition}: {value()}")
+        if default or draw(st.booleans()):
+            out.append(f"{kind}: {value()}")
+        return out
+
+    lines = rules("assign", lambda: linear((35, 65), (-15, 15), reads, 2), True)
+    lines += rules("covariate", lambda: linear((20, 80), (-20, 20), reads + ["z[t]"], 1), False)
+    lines += rules("effect", lambda: linear((-3000, 3000), (-1000, 1000), reads, 2), False)
+    scalars = [f"horizon: {horizon}", f"base: {hundredths(-5000, 5000)}"]
+    if latent:
+        latent_lines = [f"latent prob: {hundredths(5, 95)}"]
+        if draw(st.booleans()):
+            latent_lines.append(f"latent shift: {hundredths(-1000, 1000)}")
+        if draw(st.booleans()):
+            lines += latent_lines
+        else:
+            scalars += latent_lines
+    return "\n".join(scalars + lines) + "\n", latent
+
+
+@settings(max_examples=150, deadline=None)
+@given(law=rule_files())
+def test_the_truth_read_off_the_support_matches_the_forward_walk(law):
+    text, latent = law
+    dgp = parse_dgp(text)
+    truth = causal_net_effects(dgp)
+    reference = causal_net_effects_reference(dgp)
+    assert list(truth) == list(reference)
+    if not latent:
+        assert list(truth.values()) == list(reference.values())
+    scale = max(1.0, *(abs(v) for v in reference.values()))
+    for key, value in reference.items():
+        assert abs(truth[key] - value) <= 1e-14 * scale, key.label()
+
+
+@pytest.mark.parametrize(
+    "dgp",
+    [
+        make_pattern_dgp(),
+        make_confounded_dgp(),
+        make_sequential_dgp(),
+        make_markov_dgp(4),
+        make_dyadic_markov_dgp(3),
+        make_null_proxy_dgp(),
+    ],
+    ids=["pattern", "confounded", "sequential", "markov", "dyadic", "null-proxy"],
+)
+def test_the_truth_of_every_factory_law_is_bit_equal_to_the_forward_walk(dgp):
+    truth = causal_net_effects(dgp)
+    reference = causal_net_effects_reference(dgp)
+    assert list(truth.items()) == list(reference.items())
+
+
+def assert_same_dataset(d, ref):
+    for a, b in ((d.z, ref.z), (d.x, ref.x), (d.y, ref.y)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert list(d.unit_ids) == list(ref.unit_ids)
+
+
+@pytest.mark.parametrize("spread", [0.0, 1.0, 6.0])
+@pytest.mark.parametrize("horizon", [1, 2, 3, 4])
+def test_the_expander_matches_the_record_loop_on_dyadic_laws(horizon, spread):
+    table = population_table(make_dyadic_markov_dgp(horizon))
+    scale = 2 * 4 ** (2 * (horizon - 1))
+    d = dataset_from_table(table, scale, spread)
+    assert_same_dataset(d, dataset_from_table_reference(table, scale, spread))
+
+
+def test_the_expander_builds_a_one_period_table_without_covariates():
+    entries = {((0,), ()): (0.25, 0.1), ((1,), ()): (0.75, 2 / 3)}
+    table = MeanTable.from_entries(1, 0, entries)
+    d = dataset_from_table(table, scale=8, spread=1.0)
+    assert d.x.shape == (8, 0, 0)
+    assert_same_dataset(d, dataset_from_table_reference(table, 8, 1.0))
+
+
+def test_the_fixtures_match_the_record_loop():
+    assert_same_dataset(make_small_fixture(), small_fixture_reference())
+    assert_same_dataset(make_reference_fixture(), reference_fixture_reference())
+
+
+# Every DgpError text parse_dgp raises, each from a file with one error.
+RULE_FILE_ERRORS = [
+    ("horizon: 1\nassign 0.5\neffect: 1\n", "line 2: expected '<what>: <value>'"),
+    ("horizon: 1\nassign:\neffect: 1\n", "line 2: expected '<what>: <value>'"),
+    ("horizon: 1\nhorizon: 2\nassign: 0.5\n", "line 2: duplicate 'horizon'"),
+    ("horizon: two\nassign: 0.5\n", "line 1: bad value 'two' for 'horizon'"),
+    ("horizon: 1\nsigma: lots\nassign: 0.5\n", "line 2: bad value 'lots' for 'sigma'"),
+    (
+        "horizon: 1\nwavelength: 3\nassign: 0.5\neffect: 1\n",
+        "line 2: unknown directive 'wavelength'",
+    ),
+    (
+        "horizon: 1\nassign: 0.5\neffect: 1\neffect when t == 1: 2\n",
+        "line 4: unreachable 'effect' rule after its default",
+    ),
+    ("assign: 0.5\neffect: 1\n", "a rule file needs a 'horizon:' line"),
+    ("horizon: 1\neffect: 1\n", "a rule file needs at least one 'assign' rule"),
+    (
+        "horizon: 1\nlatent shift: 3\nassign: 0.5\n",
+        "'latent shift' without 'latent prob' has no meaning",
+    ),
+    (
+        "horizon: 1\nassign: 0.3 + 0.4 * u\neffect: 1\n",
+        "line 2: bad expression '0.3 + 0.4 * u': unknown name 'u'",
+    ),
+    (
+        "horizon: 2\nassign: 0.5\ncovariate when u == 1: 0.7\n",
+        "line 3: bad expression 'u == 1': unknown name 'u'",
+    ),
+    (
+        "horizon: 1\nlatent prob: 0\nassign: 0.5\neffect: 2 * u\n",
+        "line 4: bad expression '2 * u': unknown name 'u'",
+    ),
+    ("horizon: 1\nassign: 0.5 +\n", "line 2: bad expression '0.5 +': invalid syntax"),
+    (
+        "horizon: 1\nassign: abs(t)\n",
+        "line 2: bad expression 'abs(t)': unsupported syntax (Call)",
+    ),
+    ("horizon: 1\nassign: 0.5\neffect: v\n", "line 3: bad expression 'v': unknown name 'v'"),
+    (
+        "horizon: 1\nassign: 0.5\neffect when z: 1\n",
+        "line 3: bad expression 'z': z must be indexed, like z[1]",
+    ),
+    (
+        "horizon: 1\nassign: 0.5\neffect: x[1]\n",
+        "line 3: bad expression 'x[1]': x[s] needs a component index, like x[s][1]",
+    ),
+    (
+        "horizon: 1\nassign: 0.5\neffect: 'a'\n",
+        "line 3: bad expression \"'a'\": constant 'a' is not a number",
+    ),
+    (
+        "horizon: 1\nassign: 0.5\neffect: 2 / 3\n",
+        "line 3: bad expression '2 / 3': only +, - and * are available",
+    ),
+    ("horizon: 0\nassign: 0.5\n", "horizon must be at least 1"),
+    ("horizon: 1\nsigma: -1\nassign: 0.5\n", "sigma must be non-negative"),
+    ("horizon: 1\nlatent prob: 1.5\nassign: 0.5\n", "latent probability must be in [0, 1)"),
+]
+
+
+@pytest.mark.parametrize("text, message", RULE_FILE_ERRORS)
+def test_a_rule_file_with_one_error_gets_its_message(text, message):
+    with pytest.raises(DgpError) as info:
+        parse_dgp(text)
+    assert str(info.value) == message
+
+
+def test_a_rule_file_with_two_bad_expressions_reports_the_first():
+    text = "horizon: 1\nassign: 0.5\neffect: v\nassign when t == 1: w\n"
+    with pytest.raises(DgpError, match="^line 3: bad expression 'v': unknown name 'v'$"):
+        parse_dgp(text)
+    text = "horizon: 1\neffect: 2 * u\nassign: 0.5 + 0.1 * u\n"
+    with pytest.raises(DgpError, match="^line 2: bad expression '2 \\* u': unknown name 'u'$"):
+        parse_dgp(text)
+
+
+def test_latent_prob_may_follow_the_rules_that_read_u():
+    before = parse_dgp("horizon: 1\nlatent prob: 0.5\nassign: 0.3 + 0.4 * u\neffect: 1\n")
+    after = parse_dgp("horizon: 1\nassign: 0.3 + 0.4 * u\neffect: 1\nlatent prob: 0.5\n")
+    assert enumerate_support(before) == enumerate_support(after)
