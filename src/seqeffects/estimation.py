@@ -258,15 +258,20 @@ def fit_net_effects(
     sqrt_w = np.sqrt(w)
     A = C * sqrt_w[:, None]
     U, S, Vt = np.linalg.svd(A, full_matrices=False)
-    tol = _RANK_RTOL * S[0] if S.size else 0.0
-    rank = int(np.sum(S > tol))
+    rank = int(np.sum(S > _RANK_RTOL * S[0]))
     k = spec.size
     if rank < k:
-        if Vt.shape[0] < k:
-            # Fewer rows than parameters: the reduced SVD drops part of
-            # the null space, the full one (U is only m x m) keeps it.
-            Vt = np.linalg.svd(A)[2]
-        null_space = Vt[rank:]
+        # A parameter's units must not decide whether it is identified:
+        # test again on unit-norm columns (a zero column keeps scale 1).
+        # With fewer rows than parameters only the full SVD (U is m x m)
+        # keeps the whole null space.
+        scale = np.linalg.norm(A, axis=0)
+        scale[scale == 0.0] = 1.0
+        _, S_unit, V_unit = np.linalg.svd(A / scale, full_matrices=len(A) < k)
+        rank = int(np.sum(S_unit > _RANK_RTOL * S_unit[0]))
+    if rank < k:
+        # The unit-norm null space in parameter units, orthonormal again.
+        null_space = np.linalg.qr((V_unit[rank:] / scale).T)[0].T
         names = spec.param_names
         raise IdentifiabilityError(
             f"only {rank} of {k} pattern parameters are identified by "

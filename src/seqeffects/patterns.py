@@ -185,8 +185,6 @@ class ConstraintRow:
     estimate: float
     variance: float
     weight: float
-    arm_count: int
-    control_count: int
     note: str | None = None
 
 
@@ -236,33 +234,33 @@ def build_constraints(
                 raise _unidentified(key, skipped) from None
         return row
 
-    loads = _downstream_loads(d.periods(markov), feature, spec.size)
     rows: list[ConstraintRow] = []
     dropped: list[ConstraintRow] = []
-    for target in targets:
-        load = loads[target.time - 1]
-        coeff = feature(target.key) + load[target.arm] - load[target.control]
-        variance = target.variance(variance_mode)
-        weight = 0.0
-        note = None
-        if not np.isfinite(variance):
-            note = "variance not estimable (each arm needs at least 2 records)"
-        elif variance <= 0.0:
-            note = "zero variance estimate"
-        else:
-            weight = 1.0 / variance
-        row = ConstraintRow(
-            target.key,
-            target.time,
-            coeff,
-            target.estimate,
-            variance,
-            weight,
-            target.arm_count,
-            target.control_count,
-            note,
-        )
-        (rows if weight > 0.0 else dropped).append(row)
+    # Overflowing loads fail once, in the fit's matrix check, not as warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        loads = _downstream_loads(d.periods(markov), feature, spec.size)
+        for target in targets:
+            load = loads[target.time - 1]
+            coeff = feature(target.key) + load[target.arm] - load[target.control]
+            variance = target.variance(variance_mode)
+            weight = 0.0
+            note = None
+            if not np.isfinite(variance):
+                note = "variance not estimable (each arm needs at least 2 records)"
+            elif variance <= 0.0:
+                note = "zero variance estimate"
+            else:
+                weight = 1.0 / variance
+            row = ConstraintRow(
+                target.key,
+                target.time,
+                coeff,
+                target.estimate,
+                variance,
+                weight,
+                note,
+            )
+            (rows if weight > 0.0 else dropped).append(row)
     return ConstraintSystem(spec, horizon, rows, dropped, skipped, markov, cache)
 
 

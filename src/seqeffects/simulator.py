@@ -153,16 +153,14 @@ def enumerate_support(dgp: DgpSpec) -> list[SupportCell]:
 
 
 def population_table(dgp: DgpSpec) -> MeanTable:
-    """The law's exact mean table, marginalized over the latent class."""
-    merged: dict[tuple, tuple[float, float]] = {}
-    for cell in enumerate_support(dgp):
-        key = (cell.treatments, cell.covariates)
-        prob, wsum = merged.get(key, (0.0, 0.0))
-        merged[key] = (prob + cell.prob, wsum + cell.prob * cell.mean)
-    entries = {
-        key: (prob, wsum / prob) for key, (prob, wsum) in sorted(merged.items())
-    }
-    return MeanTable.from_entries(dgp.horizon, dgp.covariate_width, entries)
+    """The law's exact mean table, marginalized over the latent class: each
+    support cell enters as a record weighted by its probability."""
+    cells = enumerate_support(dgp)
+    z, x = _history_arrays(
+        [(c.treatments, c.covariates) for c in cells], dgp.horizon, dgp.covariate_width
+    )
+    y, weights = np.array([[c.mean, c.prob] for c in cells]).T
+    return MeanTable.from_arrays(z, x, y, weights)
 
 
 def simulate(dgp: DgpSpec, n: int, seed: int) -> Dataset:
@@ -305,11 +303,18 @@ def make_reference_fixture() -> Dataset:
     return _exact_dataset(expanded, 2, 1, "r{:03d}")
 
 
+def _history_arrays(histories, horizon: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (z, x) record arrays of a list of (treatments, covariates) pairs."""
+    n = len(histories)
+    z = np.array([h[0] for h in histories], dtype=np.int64).reshape(n, horizon)
+    x = np.array([h[1] for h in histories], dtype=np.int64).reshape(n, horizon - 1, width)
+    return z, x
+
+
 def _exact_dataset(cells, horizon: int, width: int, id_format: str) -> Dataset:
     """Records repeating each cell's (z, x) once per value in its outcomes."""
-    n, counts = len(cells), [len(values) for _, _, values in cells]
-    z = np.array([c[0] for c in cells], dtype=np.int64).reshape(n, horizon)
-    x = np.array([c[1] for c in cells], dtype=np.int64).reshape(n, horizon - 1, width)
+    z, x = _history_arrays([c[:2] for c in cells], horizon, width)
+    counts = [len(values) for _, _, values in cells]
     y = np.concatenate([np.asarray(values, dtype=float) for _, _, values in cells])
     ids = [id_format.format(i + 1) for i in range(len(y))]
     return Dataset(np.repeat(z, counts, axis=0), np.repeat(x, counts, axis=0), y, ids)

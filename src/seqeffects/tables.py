@@ -1,13 +1,13 @@
 """Stratum mean tables over the interleaved history trie.
 
-One structure serves both evaluation modes: an empirical table built from a
-dataset (node masses are integer record counts) and an exact table built
-from an explicit joint law over full histories (masses are probabilities).
-A stratum's share of its parent is the ratio of the two node masses.
-The empirical table is built one level at a time from records sorted by
-history. Both builders keep every node's children in symbol order, so
-`levels` lists each depth in key-symbol order without sorting, and code
-reading children in dict order reads them sorted.
+One structure and one builder serve both evaluation modes: an empirical
+table built from a dataset's records (node masses are integer record
+counts) and an exact table built from a law's support cells, each a record
+weighted by its probability (masses are probabilities). A stratum's share
+of its parent is the ratio of the two node masses. The builder works one
+level at a time from records sorted by history and keeps every node's
+children in symbol order, so `levels` lists each depth in key-symbol order
+without sorting, and code reading children in dict order reads them sorted.
 The table keeps masses and means only; where a record sits is known to
 `Dataset.periods` alone. Internal-node means are always the mass-weighted
 aggregate of the leaves below, which is what the recursive computations
@@ -82,20 +82,35 @@ class MeanTable:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def from_arrays(cls, z: np.ndarray, x: np.ndarray, y: np.ndarray) -> "MeanTable":
-        """Build the empirical table for records (z, x, y).
+    def from_arrays(cls, z: np.ndarray, x: np.ndarray, y: np.ndarray,
+                    weights: np.ndarray | None = None) -> "MeanTable":
+        """Build the table for records (z, x, y), each weighted by `weights`.
 
-        z is (N, T) int, x is (N, T-1, w) int, y is (N,) float. Records are
-        sorted once by interleaved history, so that every stratum is a
-        contiguous run to count and sum, and the trie is built one level
-        at a time; a run's parent is the run above that holds its start.
+        z is (N, T) int, x is (N, T-1, w) int, y is (N,) float. A sample
+        passes no weights, so masses count records; a law passes its cells'
+        probabilities (positive, summing to one), and a history's rows, one
+        per latent class, merge into one leaf. Records are sorted once by
+        history, so every stratum is a contiguous run, and the trie is built
+        level by level; a run's parent is the run above holding its start.
         """
         n, horizon = z.shape
         width = x.shape[2] if x.ndim == 3 and x.shape[1] > 0 else 0
+        if weights is None:
+            weights = np.ones(n, dtype=np.int64)
+        else:
+            weights = np.asarray(weights, dtype=float)
+            if weights.shape != (n,):
+                raise UsageError(f"weights must be ({n},), not {weights.shape}")
+            if not (np.isfinite(weights).all() and np.isfinite(y).all()):
+                raise DomainError("a law's weights and outcomes must be finite")
+            if not (weights > 0.0).all():
+                raise DomainError("weights must be positive; leave zero-probability cells out")
+            if abs(weights.sum() - 1.0) > _PROB_SUM_TOL:
+                raise DomainError(f"weights sum to {float(weights.sum())!r}, expected 1")
         order, cols = sort_histories(z, x)
-        fs = np.column_stack(cols)[order]
-        outcomes = np.ascontiguousarray(y[order], dtype=float)
-        root = TableNode(n, float(outcomes.sum()))
+        fs, w = np.column_stack(cols)[order], weights[order]
+        outcomes = w * np.asarray(y, dtype=float)[order]
+        root = TableNode(w.sum().item(), float(outcomes.sum()))
         # Each level's runs are the runs above, split where that level's
         # columns change: one treatment column, or `width` covariate ones.
         splits = np.arange(n) == 0
@@ -106,54 +121,13 @@ class MeanTable:
             runs = np.flatnonzero(splits)
             parents = np.searchsorted(starts, runs, side="right") - 1
             ends, rows = [*runs[1:].tolist(), n], fs[runs, a:b].tolist()
+            masses = np.add.reduceat(w, runs).tolist()
             level = []
-            for lo, hi, p, row in zip(runs.tolist(), ends, parents.tolist(), rows):
-                node = TableNode(hi - lo, float(outcomes[lo:hi].sum()))
+            for lo, hi, p, row, m in zip(runs.tolist(), ends, parents.tolist(), rows, masses):
+                node = TableNode(m, float(outcomes[lo:hi].sum()))
                 nodes[p].children[row[0] if depth % 2 else tuple(row)] = node
                 level.append(node)
             starts, nodes, a = runs, level, b
-        return cls(horizon, width, root)
-
-    @classmethod
-    def from_entries(cls, horizon: int, covariate_width: int, entries) -> "MeanTable":
-        """Build an exact table from {(z_tuple, x_tuples): (prob, mean)}.
-
-        Probabilities must be positive and sum to one; a zero-probability
-        history belongs out of the dictionary, not in it with mass 0.
-        """
-        width = covariate_width
-        root = TableNode(0.0, 0.0)
-        total = 0.0
-        for (zs, xs), (prob, mean) in entries.items():
-            zs = tuple(int(v) for v in zs)
-            xs = tuple(tuple(int(v) for v in vec) for vec in xs)
-            if len(zs) != horizon or len(xs) != horizon - 1:
-                raise UsageError(f"history {zs}/{xs} does not match horizon {horizon}")
-            if any(len(vec) != width for vec in xs):
-                raise UsageError("covariate vector width mismatch")
-            if not prob > 0.0:
-                raise DomainError(f"history {zs}/{xs} has non-positive probability")
-            if not np.isfinite(mean):
-                raise DomainError(f"history {zs}/{xs} has non-finite mean")
-            total += prob
-            contrib = prob * mean
-            node = root
-            node.mass += prob
-            node.ysum += contrib
-            key = StratumKey(zs, xs)
-            for sym in key.symbols():
-                node = node.children.setdefault(sym, TableNode(0.0, 0.0))
-                node.mass += prob
-                node.ysum += contrib
-        if abs(total - 1.0) > _PROB_SUM_TOL:
-            raise DomainError(f"history probabilities sum to {total!r}, expected 1")
-
-        def sort_children(node: TableNode):
-            node.children = dict(sorted(node.children.items()))
-            for child in node.children.values():
-                sort_children(child)
-
-        sort_children(root)
         return cls(horizon, width, root)
 
     # -- navigation -----------------------------------------------------
@@ -180,9 +154,6 @@ class MeanTable:
             )
         if any(len(vec) != self.covariate_width for vec in key.covariates):
             raise UsageError(f"key {key.label()} has wrong covariate width")
-
-    def mass(self, key: StratumKey):
-        return self.require(key).mass
 
     def mean(self, key: StratumKey) -> float:
         return self.require(key).mean

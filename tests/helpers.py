@@ -13,6 +13,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from seqeffects import (
     Dataset,
@@ -26,12 +27,19 @@ from seqeffects import (
     PointParams,
     ResamplingReport,
     StratumKey,
+    UsageError,
     downstream_weighted_sum,
+    enumerate_support,
     point_effect_targets,
 )
 from seqeffects.dataset import _parse_header
 from seqeffects.estimation import FlaggedPair
-from seqeffects.simulator import _assignment_prob, _kernel_dist, _spread_offsets
+from seqeffects.simulator import (
+    _assignment_prob,
+    _history_arrays,
+    _kernel_dist,
+    _spread_offsets,
+)
 from seqeffects.tables import TableNode, sort_histories
 
 
@@ -47,6 +55,18 @@ def complete_histories(horizon, covariate_width, levels=2):
     return histories
 
 
+def law_table(horizon, width, rows):
+    """An exact table through the library's one builder: each row
+    (z, x, prob, mean), or each {(z, x): (prob, mean)} item, is one record
+    weighted by its probability."""
+    if isinstance(rows, dict):
+        rows = [(zs, xs, p, m) for (zs, xs), (p, m) in rows.items()]
+    z, x = _history_arrays([r[:2] for r in rows], horizon, width)
+    probs = np.array([r[2] for r in rows], dtype=float)
+    means = np.array([r[3] for r in rows], dtype=float)
+    return MeanTable.from_arrays(z, x, means, probs)
+
+
 def random_complete_table(rng, horizon, covariate_width=1):
     """A random table with every binary history present.
 
@@ -60,7 +80,7 @@ def random_complete_table(rng, horizon, covariate_width=1):
         h: (float(p), float(rng.uniform(-40.0, 160.0)))
         for h, p in zip(histories, probs)
     }
-    return MeanTable.from_entries(horizon, width, entries)
+    return law_table(horizon, width, entries)
 
 
 def random_law_table(seed, horizon, covariate_width=1, levels=2, drop=0.0):
@@ -73,7 +93,107 @@ def random_law_table(seed, horizon, covariate_width=1, levels=2, drop=0.0):
     kept = [h for h in histories if rng.random() >= drop] or histories[:1]
     probs = rng.dirichlet(np.ones(len(kept)))
     entries = {h: (float(p), float(rng.uniform(-40.0, 160.0))) for h, p in zip(kept, probs)}
-    return MeanTable.from_entries(horizon, width, entries)
+    return law_table(horizon, width, entries)
+
+
+def random_law_rows(seed, horizon, covariate_width=1, levels=2, drop=0.0, dyadic=False):
+    """A random law as weighted rows (z, x, prob, mean) in shuffled order,
+    each kept history split over 1-3 rows, as latent classes split it.
+
+    With `dyadic`, probabilities are multiples of 2**-20 and a history's
+    rows share one mean, a multiple of 1/4, so every mass, sum and mean
+    the builders form is exact whatever the order of summation.
+    """
+    rng = np.random.default_rng(seed)
+    width = 0 if horizon == 1 else covariate_width
+    histories = complete_histories(horizon, width, levels)
+    kept = [h for h in histories if rng.random() >= drop] or histories[:1]
+    rows = []
+    for zs, xs in kept:
+        shared = float(rng.integers(-160, 640)) / 4
+        for _ in range(int(rng.integers(1, 4))):
+            rows.append([zs, xs, 0.0, shared if dyadic else float(rng.uniform(-40.0, 160.0))])
+    if dyadic:
+        counts = 1 + rng.multinomial(2**20 - len(rows), np.full(len(rows), 1 / len(rows)))
+        probs = counts / 2**20
+    else:
+        probs = rng.dirichlet(np.ones(len(rows)))
+    for row, p in zip(rows, probs):
+        row[2] = float(p)
+    return [tuple(rows[i]) for i in rng.permutation(len(rows))]
+
+
+def merge_law_rows_reference(rows):
+    """{(z, x): (prob, mean)} merging the rows of each history, as
+    `population_table` merged a law's latent classes before its support
+    cells entered the builder as weighted records."""
+    merged = {}
+    for zs, xs, prob, mean in rows:
+        p, wsum = merged.get((zs, xs), (0.0, 0.0))
+        merged[(zs, xs)] = (p + prob, wsum + prob * mean)
+    return {key: (p, wsum / p) for key, (p, wsum) in sorted(merged.items())}
+
+
+def population_table_reference(dgp):
+    """A law's exact table merged history by history, then built one key
+    at a time: the `population_table` that weighted records replaced."""
+    rows = [(c.treatments, c.covariates, c.prob, c.mean) for c in enumerate_support(dgp)]
+    return table_from_entries_reference(
+        dgp.horizon, dgp.covariate_width, merge_law_rows_reference(rows)
+    )
+
+
+def table_from_entries_reference(horizon, covariate_width, entries):
+    """The exact-table builder that weighted records in
+    `MeanTable.from_arrays` replaced: walk {(z_tuple, x_tuples): (prob,
+    mean)} one history at a time, accumulating masses and sums on the way
+    down, then sort every node's children."""
+    width = covariate_width
+    root = TableNode(0.0, 0.0)
+    total = 0.0
+    for (zs, xs), (prob, mean) in entries.items():
+        zs = tuple(int(v) for v in zs)
+        xs = tuple(tuple(int(v) for v in vec) for vec in xs)
+        if len(zs) != horizon or len(xs) != horizon - 1:
+            raise UsageError(f"history {zs}/{xs} does not match horizon {horizon}")
+        if any(len(vec) != width for vec in xs):
+            raise UsageError("covariate vector width mismatch")
+        if not prob > 0.0:
+            raise DomainError(f"history {zs}/{xs} has non-positive probability")
+        if not np.isfinite(mean):
+            raise DomainError(f"history {zs}/{xs} has non-finite mean")
+        total += prob
+        contrib = prob * mean
+        node = root
+        node.mass += prob
+        node.ysum += contrib
+        key = StratumKey(zs, xs)
+        for sym in key.symbols():
+            node = node.children.setdefault(sym, TableNode(0.0, 0.0))
+            node.mass += prob
+            node.ysum += contrib
+    if abs(total - 1.0) > 1e-9:
+        raise DomainError(f"history probabilities sum to {total!r}, expected 1")
+
+    def sort_children(node):
+        node.children = dict(sorted(node.children.items()))
+        for child in node.children.values():
+            sort_children(child)
+
+    sort_children(root)
+    return MeanTable(horizon, width, root)
+
+
+def assert_close_trie(a, b, rtol=1e-12):
+    """Node for node: the same children in the same order, and masses and
+    means within `rtol` relative."""
+    stack = [(a, b)]
+    while stack:
+        p, q = stack.pop()
+        assert p.mass == pytest.approx(q.mass, rel=rtol, abs=0.0)
+        assert p.mean == pytest.approx(q.mean, rel=rtol, abs=0.0)
+        assert list(p.children) == list(q.children)
+        stack.extend(zip(p.children.values(), q.children.values()))
 
 
 def downstream_walk(table, node, key, value_fn):

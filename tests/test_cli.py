@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import seqeffects
 from seqeffects import make_markov_dgp, make_reference_fixture, save_dataset, simulate
 from seqeffects.cli import main
 
@@ -255,6 +260,25 @@ def test_a_downstream_load_that_overflows_exits_two(tmp_path, markov3_csv, capsy
     pattern = write(tmp_path, "pat.txt", "term big: 1e308 * z[t-1]\n")
     assert main([command, "--data", markov3_csv, "--pattern", pattern]) == 2
     assert error_lines(capsys) == [
+        "error: target z1=1: the coefficient of parameter 'big' is not finite (nan): "
+        "its feature row and downstream loads overflow when summed"
+    ]
+
+
+@pytest.mark.parametrize("command", ["estimate", "suggest-pattern"])
+def test_a_downstream_load_that_overflows_writes_only_the_error(tmp_path, markov3_csv, command):
+    # A child process, so that numpy's warnings would reach its stderr.
+    pattern = write(tmp_path, "pat.txt", "term big: 1e308 * z[t-1]\n")
+    src = str(Path(seqeffects.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from seqeffects.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", command, "--data", markov3_csv, "--pattern", pattern],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 2
+    assert run.stderr.splitlines() == [
         "error: target z1=1: the coefficient of parameter 'big' is not finite (nan): "
         "its feature row and downstream loads overflow when summed"
     ]

@@ -187,6 +187,32 @@ def test_null_space_is_complete_with_fewer_targets_than_parameters():
     assert all(any(name in v for name in "abc") for v in directions)
 
 
+@pytest.fixture(scope="module")
+def markov3():
+    return simulate(make_markov_dgp(3), 2000, 1)
+
+
+@pytest.mark.parametrize("scale", [1e11, 1e-11])
+def test_identification_does_not_depend_on_parameter_units(markov3, scale):
+    mode = VarianceMode.known(1.0)
+    plain = fit_net_effects(parse_pattern(UNITS.format("")), markov3, mode)
+    scaled = fit_net_effects(parse_pattern(UNITS.format(f"{scale!r} * ")), markov3, mode)
+    assert scaled.rank == 2
+    np.testing.assert_allclose(scaled.params * [1.0, scale], plain.params, rtol=1e-9)
+
+
+def test_a_null_space_over_scaled_parameters_is_in_their_units(markov3):
+    spec = parse_pattern("term a: 1e11 * z[t]\nterm b: z[t]\n")
+    with pytest.raises(IdentifiabilityError, match="only 1 of 2") as exc:
+        fit_net_effects(spec, markov3, VarianceMode.known(1.0))
+    (null,) = exc.value.null_space
+    # In parameter units, so the direction is (-1e-11, 1), not (-1, 1) / sqrt(2).
+    np.testing.assert_allclose(null * np.sign(null[1]), [-1e-11, 1.0], rtol=0.0, atol=1e-16)
+
+
+UNITS = "group a: when t == 1\nterm big: {}z[t-1]\n"
+
+
 def test_saturated_fit_names_strata_without_a_control():
     d = simulate(make_markov_dgp(6), 2000, 3)
     skipped = {k.label() for k, _ in point_effect_targets(d)[1]}

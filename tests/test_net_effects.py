@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from seqeffects import (
     IncompletenessError,
-    MeanTable,
     StratumKey,
     compute_net_effects,
     decompose_point_effect,
@@ -17,6 +16,7 @@ from seqeffects import (
 )
 from helpers import (
     downstream_walk,
+    law_table,
     net_effects_reference,
     random_complete_table,
     random_law_table,
@@ -52,7 +52,7 @@ def test_single_period_effects_are_plain_contrasts():
         ((1,), ()): (0.3, 25.0),
         ((2,), ()): (0.2, 40.0),
     }
-    net = compute_net_effects(MeanTable.from_entries(1, 0, entries))
+    net = compute_net_effects(law_table(1, 0, entries))
     eff = {k.label(): v for k, v in net.effects.items()}
     assert eff == {"z1=1": pytest.approx(15.0), "z1=2": pytest.approx(30.0)}
 
@@ -225,7 +225,7 @@ def test_verify_skips_arms_with_a_control_less_stratum_below():
         ((1, 1), ((0,),)): (0.2, 50.0),
         ((2, 1), ((0,),)): (0.2, 70.0),  # no (2, x=0, z2=0) cell
     }
-    table = MeanTable.from_entries(2, 1, entries)
+    table = law_table(2, 1, entries)
     with pytest.raises(IncompletenessError):
         compute_net_effects(table)
     report = verify_decomposition(table)
@@ -307,7 +307,7 @@ def test_missing_control_raises_with_labels():
         ((0, 1), ((0,),)): (0.3, 20.0),
         ((1, 1), ((0,),)): (0.4, 30.0),  # no (1, x=0, z2=0) cell
     }
-    table = MeanTable.from_entries(2, 1, entries)
+    table = law_table(2, 1, entries)
     missing = missing_controls(table)
     assert [k.label() for k in missing] == ["z1=1 x1=0"]
     with pytest.raises(IncompletenessError, match="z1=1 x1=0"):
@@ -319,7 +319,7 @@ def test_missing_control_lists_every_stratum():
         ((1, 1), ((0,),)): (0.5, 30.0),
         ((1, 1), ((1,),)): (0.5, 40.0),
     }
-    table = MeanTable.from_entries(2, 1, entries)
+    table = law_table(2, 1, entries)
     labels = [k.label() for k in missing_controls(table)]
     # the first-period stratum and both second-period ones lack controls
     assert labels == ["(all)", "z1=1 x1=0", "z1=1 x1=1"]

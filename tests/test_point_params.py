@@ -15,6 +15,7 @@ from seqeffects import (
 )
 from helpers import (
     complete_histories,
+    law_table,
     point_params_reference,
     random_complete_table,
     random_law_table,
@@ -60,9 +61,7 @@ def test_parameters_vanish_on_a_flat_table():
         ((1, 0), ((0,),)): (0.1, 50.0),
         ((1, 1), ((0,),)): (0.4, 50.0),
     }
-    from seqeffects import MeanTable
-
-    p = extract_point_params(MeanTable.from_entries(2, 1, entries))
+    p = extract_point_params(law_table(2, 1, entries))
     assert p.grand_mean == pytest.approx(50.0)
     assert all(abs(v) < 1e-12 for v in p.treatment_effects.values())
     assert all(abs(v) < 1e-12 for v in p.covariate_effects.values())

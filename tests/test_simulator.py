@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from helpers import (
     causal_net_effects_reference,
     dataset_from_table_reference,
+    law_table,
     reference_fixture_reference,
     small_fixture_reference,
 )
 from seqeffects import (
     DgpError,
-    MeanTable,
     StratumKey,
     causal_net_effects,
     compute_net_effects,
@@ -37,8 +37,8 @@ SIMPLE = "horizon: 1\nassign: 0.4\nbase: 100\neffect: 7\n"
 
 def test_population_table_of_a_one_period_law():
     table = population_table(parse_dgp(SIMPLE))
-    assert table.mass(StratumKey((0,), ())) == pytest.approx(0.6)
-    assert table.mass(StratumKey((1,), ())) == pytest.approx(0.4)
+    assert table.require(StratumKey((0,), ())).mass == pytest.approx(0.6)
+    assert table.require(StratumKey((1,), ())).mass == pytest.approx(0.4)
     assert table.mean(StratumKey((0,), ())) == pytest.approx(100.0)
     assert table.mean(StratumKey((1,), ())) == pytest.approx(107.0)
 
@@ -118,9 +118,7 @@ def test_dataset_from_table_is_exact():
         ((1, 0), ((0,),)): (0.125, 50.0),
         ((1, 1), ((0,),)): (0.375, 70.0),
     }
-    from seqeffects import MeanTable
-
-    table = MeanTable.from_entries(2, 1, entries)
+    table = law_table(2, 1, entries)
     d = dataset_from_table(table, scale=16, spread=6.0)
     assert d.n_records == 16
     for (zs, xs), (prob, mean) in entries.items():
@@ -135,9 +133,7 @@ def test_dataset_from_table_is_exact():
 
 def test_dataset_from_table_rejects_fractional_counts():
     entries = {((0,), ()): (1 / 3, 1.0), ((1,), ()): (2 / 3, 2.0)}
-    from seqeffects import MeanTable
-
-    table = MeanTable.from_entries(1, 0, entries)
+    table = law_table(1, 0, entries)
     with pytest.raises(DgpError, match="scale"):
         dataset_from_table(table, scale=10)
 
@@ -265,7 +261,7 @@ def test_the_expander_matches_the_record_loop_on_dyadic_laws(horizon, spread):
 
 def test_the_expander_builds_a_one_period_table_without_covariates():
     entries = {((0,), ()): (0.25, 0.1), ((1,), ()): (0.75, 2 / 3)}
-    table = MeanTable.from_entries(1, 0, entries)
+    table = law_table(1, 0, entries)
     d = dataset_from_table(table, scale=8, spread=1.0)
     assert d.x.shape == (8, 0, 0)
     assert_same_dataset(d, dataset_from_table_reference(table, 8, 1.0))

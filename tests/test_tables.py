@@ -3,14 +3,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqeffects import DomainError, EstimabilityError, MeanTable, StratumKey
+from seqeffects import (
+    DomainError,
+    EstimabilityError,
+    MeanTable,
+    StratumKey,
+    UsageError,
+    make_confounded_dgp,
+    make_dyadic_markov_dgp,
+    make_markov_dgp,
+    make_null_proxy_dgp,
+    make_pattern_dgp,
+    make_sequential_dgp,
+    population_table,
+)
 from helpers import (
+    assert_close_trie,
     assert_same_trie,
+    law_table,
     levels_reference,
+    merge_law_rows_reference,
+    population_table_reference,
     random_complete_table,
+    random_law_rows,
     random_law_table,
     random_panel,
     table_from_arrays_reference,
+    table_from_entries_reference,
 )
 
 SHAPES = dict(
@@ -26,9 +45,9 @@ def test_from_arrays_aggregates_counts_and_means(d16):
     root = t.root
     assert root.mass == 16
     k = StratumKey((0,), ())
-    assert t.mass(k) == 8
+    assert t.require(k).mass == 8
     arm = StratumKey((0, 0), ((0,),))
-    assert t.mass(arm) == 2
+    assert t.require(arm).mass == 2
     assert t.mean(arm) == pytest.approx(100.0)
 
 
@@ -56,19 +75,39 @@ def test_perturb_mean_shifts_only_that_stratum(d16):
     assert t.mean(key.sibling(0)) == pytest.approx(sib)
 
 
-def test_from_entries_requires_unit_mass():
-    entries = {((0,), ()): (0.4, 1.0), ((1,), ()): (0.5, 2.0)}
-    with pytest.raises(DomainError):
-        MeanTable.from_entries(1, 0, entries)
+ONE_PERIOD = (np.array([[0], [1]]), np.zeros((2, 0, 0), dtype=np.int64), np.array([1.0, 2.0]))
 
 
-def test_from_entries_rejects_zero_mass_cells():
-    entries = {((0,), ()): (0.0, 1.0), ((1,), ()): (1.0, 2.0)}
-    with pytest.raises(DomainError):
-        MeanTable.from_entries(1, 0, entries)
+@pytest.mark.parametrize(
+    "weights, error, message",
+    [
+        ([0.0, 1.0], DomainError, "positive"),
+        ([-0.5, 1.5], DomainError, "positive"),
+        ([np.nan, 1.0], DomainError, "finite"),
+        ([np.inf, 1.0], DomainError, "finite"),
+        ([0.4, 0.5], DomainError, "sum to 0.9"),
+        ([1.0], UsageError, r"weights must be \(2,\), not \(1,\)"),
+        ([[0.5, 0.5]], UsageError, r"weights must be \(2,\), not \(1, 2\)"),
+    ],
+    ids=["zero", "negative", "nan", "inf", "sum", "short", "two-dimensional"],
+)
+def test_weights_must_be_a_law(weights, error, message):
+    with pytest.raises(error, match=message):
+        MeanTable.from_arrays(*ONE_PERIOD, np.array(weights))
 
 
-def test_from_entries_leaf_means_exact():
+def test_a_law_needs_finite_outcomes():
+    z, x, _ = ONE_PERIOD
+    with pytest.raises(DomainError, match="finite"):
+        MeanTable.from_arrays(z, x, np.array([1.0, np.nan]), np.array([0.5, 0.5]))
+
+
+def test_a_sample_counts_its_records_in_ints(d16):
+    for level in d16.table.levels():
+        assert all(type(node.mass) is int for _, node in level)
+
+
+def test_a_complete_law_table_has_every_leaf():
     rng = np.random.default_rng(5)
     table = random_complete_table(rng, 2)
     leaves = table.level(3)
@@ -83,7 +122,7 @@ def test_interior_mean_is_mass_weighted():
         ((1, 0), ((0,),)): (0.25, 50.0),
         ((1, 1), ((0,),)): (0.25, 70.0),
     }
-    t = MeanTable.from_entries(2, 1, entries)
+    t = law_table(2, 1, entries)
     assert t.mean(StratumKey((0,), ((0,),))) == pytest.approx(20.0)
     assert t.mean(StratumKey((1,), ())) == pytest.approx(60.0)
     assert t.root.mean == pytest.approx(40.0)
@@ -105,3 +144,38 @@ def test_levels_equal_the_sorted_depth_first_listing(seed, horizon, width, level
     law = random_law_table(seed, horizon, width, levels, drop)
     for table in (panel, law):
         assert table.levels() == levels_reference(table)
+
+
+@settings(max_examples=80, deadline=None)
+@given(drop=st.sampled_from([0.0, 0.3, 0.7]), dyadic=st.booleans(), **SHAPES)
+def test_weighted_rows_build_the_reference_law_table(seed, horizon, width, levels, drop, dyadic):
+    rows = random_law_rows(seed, horizon, width, levels, drop, dyadic)
+    w = width if horizon > 1 else 0
+    table = law_table(horizon, w, rows)
+    reference = table_from_entries_reference(horizon, w, merge_law_rows_reference(rows))
+    assert (table.horizon, table.covariate_width) == (horizon, w)
+    if dyadic:
+        assert_same_trie(table.root, reference.root)
+    else:
+        assert_close_trie(table.root, reference.root)
+
+
+FACTORY_LAWS = {
+    "pattern": make_pattern_dgp,
+    "confounded": make_confounded_dgp,
+    "sequential": make_sequential_dgp,
+    "markov": lambda: make_markov_dgp(4),
+    "dyadic": lambda: make_dyadic_markov_dgp(3),
+    "null-proxy": make_null_proxy_dgp,
+}
+
+
+@pytest.mark.parametrize("name", FACTORY_LAWS)
+def test_population_tables_match_the_merged_reference(name):
+    dgp = FACTORY_LAWS[name]()
+    table, reference = population_table(dgp), population_table_reference(dgp)
+    assert (table.horizon, table.covariate_width) == (reference.horizon, reference.covariate_width)
+    if name == "dyadic":
+        assert_same_trie(table.root, reference.root)
+    else:
+        assert_close_trie(table.root, reference.root)
