@@ -109,7 +109,7 @@ class MeanTable:
                 raise DomainError(f"weights sum to {float(weights.sum())!r}, expected 1")
         order, cols = sort_histories(z, x)
         fs, w = np.column_stack(cols)[order], weights[order]
-        outcomes = w * np.asarray(y, dtype=float)[order]
+        outcomes = w * np.asarray(y, dtype=float).reshape(n)[order]
         root = TableNode(w.sum().item(), float(outcomes.sum()))
         # Each level's runs are the runs above, split where that level's
         # columns change: one treatment column, or `width` covariate ones.

@@ -107,6 +107,11 @@ def test_a_sample_counts_its_records_in_ints(d16):
         assert all(type(node.mass) is int for _, node in level)
 
 
+def test_a_column_of_outcomes_does_not_broadcast_against_the_weights(d16):
+    column = MeanTable.from_arrays(d16.z, d16.x, d16.y[:, None])
+    assert_same_trie(column.root, d16.table.root)
+
+
 def test_a_complete_law_table_has_every_leaf():
     rng = np.random.default_rng(5)
     table = random_complete_table(rng, 2)
