@@ -7,9 +7,11 @@ dataset from a rule file, with the ground truth beside it), diagnose
 suggest-pattern (merge indistinguishable groups of a fitted pattern).
 
 Reports are JSON on stdout or --out, the text of json.dumps(report,
-indent=2). Exit codes: 0 on success, 1 for input or parse problems, 2
-for statistical ones (empty strata, ranks, flagged diagnostics). The
-same inputs and seed produce byte-identical reports.
+indent=2). An output path that names an input of the command, or
+simulate's --out and --truth as one file, is refused before any work.
+Exit codes: 0 on success, 1 for input or parse problems, 2 for
+statistical ones (empty strata, ranks, flagged diagnostics). The same
+inputs and seed produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -19,10 +21,13 @@ import functools
 import json
 import logging
 import math
+import os
 import sys
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from .dataset import _decode, load_dataset, save_dataset
 from .errors import (
@@ -49,12 +54,21 @@ log = logging.getLogger(__name__)
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _STR = frozenset({str})
 _INDENT = "  "
+# Kinds of ndarray a report may hold: bool, int, uint and float, whose
+# tolist() holds only bool, int and float.
+_ARRAY_KINDS = frozenset("biuf")
+# Characters per write of a report: each write encodes one slice.
+_WRITE_SLICE = 2**20
 
 
 def _floatstr(v, _repr=float.__repr__, _finite=math.isfinite) -> str:
     if _finite(v):
         return _repr(v)
     return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+
+
+def _report_array(v) -> bool:
+    return isinstance(v, np.ndarray) and v.dtype.kind in _ARRAY_KINDS
 
 
 def _flat_dict(v) -> bool:
@@ -66,17 +80,27 @@ def _flat_dict(v) -> bool:
 class _ReportEncoder(JSONEncoder):
     """The text of `json.dumps(tree, indent=2)`, byte for byte, for report
     trees: str keys, and lists, tuples, dicts, str, int, float (subclasses
-    included), bool and None. Any other value, or a key that is not a str,
-    raises TypeError. The encoder's options are not read.
+    included), bool and None. A bool, int, uint or float `numpy.ndarray`
+    is written as the stock text of its `tolist()`; any other value, or a
+    key that is not a str, raises TypeError. The encoder's options are not
+    read.
 
     With `indent` set, Python's encoder falls back to nested generators
     that yield one fragment at a time. This one appends the fragments to
     one list. It writes str and float members itself; each list or dict
     that holds only scalars of exact type, each list of such dicts, and
     each other scalar take one call of the C encoder, whose item
-    separator carries the newline and indent of that depth. Without the C
-    encoder it is the stock encoder.
+    separator carries the newline and indent of that depth. An ndarray is
+    listed one leading-axis row at a time, so a matrix never exists as
+    one nested list of Python floats, and each container below depth 1
+    is joined into one string when it closes. Without the C encoder it is
+    the stock encoder, which lists an ndarray through `default`.
     """
+
+    def default(self, o):
+        if _report_array(o):
+            return o.tolist()
+        return super().default(o)
 
     def encode(self, o):
         if c_make_encoder is None:
@@ -114,6 +138,13 @@ class _ReportEncoder(JSONEncoder):
                     members(v, level, True)
             elif v is None or isinstance(v, (str, int, float)):
                 append("".join(c_encoder(level)[1](v, 0)))
+            elif _report_array(v):
+                if v.ndim < 2:
+                    value(v.tolist(), level)
+                elif not len(v):
+                    append("[]")
+                else:  # an ndarray iterates over its rows
+                    members(v, level, False)
             else:
                 raise TypeError(
                     f"Object of type {v.__class__.__name__} is not JSON serializable"
@@ -138,6 +169,7 @@ class _ReportEncoder(JSONEncoder):
             append("[" + inner + "{" + inner + _INDENT + body + inner + "}" + closing + "]")
 
         def members(container, level, is_dict):
+            start = len(out)
             closing = "\n" + _INDENT * level
             sep = "," + closing + _INDENT
             append(("{" if is_dict else "[") + closing + _INDENT)
@@ -153,17 +185,59 @@ class _ReportEncoder(JSONEncoder):
                     value(v, level + 1)
                 append(sep)
             out[-1] = closing + ("}" if is_dict else "]")
+            if level >= 2:  # a few large strings, not many small ones
+                out[start:] = ["".join(out[start:])]
 
         value(o, 0)
         return "".join(out)
 
 
 def _emit(payload: dict, out: str | None) -> None:
+    """Write the report and a newline to `out`, or to stdout without one.
+
+    The text is written in slices, so neither the text with its newline
+    nor the whole report's bytes ever exist beside it.
+    """
     text = json.dumps(payload, indent=2, cls=_ReportEncoder)
     if out:
-        Path(out).write_text(text + "\n")
+        with open(out, "w") as stream:
+            _write(stream, text)
     else:
-        print(text)
+        _write(sys.stdout, text)
+
+
+def _write(stream, text: str) -> None:
+    for start in range(0, len(text), _WRITE_SLICE):
+        stream.write(text[start : start + _WRITE_SLICE])
+    stream.write("\n")
+
+
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # a file not there yet
+        return Path(a).resolve() == Path(b).resolve()
+
+
+def _truth_path(args) -> str:
+    return args.truth or args.out + ".truth.json"
+
+
+def _refuse_overwrites(args) -> None:
+    """UsageError when an output path names an input of the command, or
+    simulate's dataset and truth file are one file."""
+    named = [(f, getattr(args, f, None)) for f in ("data", "pattern", "dgp")]
+    named = [(f, path) for f, path in named if path is not None]
+    outputs = [("out", args.out)]
+    if args.command == "simulate":
+        outputs.append(("truth", _truth_path(args)))
+    for flag, path in outputs:
+        if not path:
+            continue
+        for other, known in named:
+            if _same_file(path, known):
+                raise UsageError(f"--{flag} {path} and --{other} {known} name the same file")
+        named.append((flag, path))
 
 
 def _read_text(path: str) -> str:
@@ -210,7 +284,7 @@ def cmd_simulate(args) -> int:
     dgp = parse_dgp(_read_text(args.dgp))
     d = simulate(dgp, args.n, args.seed)
     save_dataset(d, args.out)
-    truth_path = args.truth or args.out + ".truth.json"
+    truth_path = _truth_path(args)
     effects = causal_net_effects(dgp)
     _emit(
         {
@@ -348,6 +422,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        _refuse_overwrites(args)
         return args.func(args)
     except (ParseError, DomainError, DgpError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

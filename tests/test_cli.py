@@ -420,3 +420,58 @@ def test_usage_errors_exit_one():
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "subcommand" in capsys.readouterr().out or True
+
+
+# -- an output never replaces an input ---------------------------------------
+
+
+def assert_refused(capsys, argv, message, *inputs):
+    before = [Path(p).read_bytes() for p in inputs]
+    assert main(argv) == 1
+    assert error_lines(capsys) == [f"error: {message}"]
+    assert [Path(p).read_bytes() for p in inputs] == before
+
+
+def test_estimate_refuses_to_write_over_its_data(tmp_path, ref_csv, capsys):
+    pattern = write(tmp_path, "pat.txt", THREE_GROUPS)
+    argv = ["estimate", "--data", ref_csv, "--pattern", pattern, "--out", ref_csv]
+    message = f"--out {ref_csv} and --data {ref_csv} name the same file"
+    assert_refused(capsys, argv, message, ref_csv, pattern)
+
+
+def test_oracle_refuses_to_write_over_its_data_by_another_name(tmp_path, ref_csv, capsys):
+    other = str(tmp_path / "." / "sub" / ".." / "ref.csv")
+    (tmp_path / "sub").mkdir()
+    argv = ["oracle", "--data", ref_csv, "--out", other]
+    message = f"--out {other} and --data {ref_csv} name the same file"
+    assert_refused(capsys, argv, message, ref_csv)
+
+
+def test_diagnose_refuses_to_write_over_its_data_through_a_link(tmp_path, ref_csv, capsys):
+    link = tmp_path / "link.csv"
+    link.symlink_to(ref_csv)
+    argv = ["diagnose", "--data", ref_csv, "--reps", "10", "--out", str(link)]
+    message = f"--out {link} and --data {ref_csv} name the same file"
+    assert_refused(capsys, argv, message, ref_csv)
+
+
+def test_suggest_pattern_refuses_to_write_over_its_pattern(tmp_path, ref_csv, capsys):
+    pattern = write(tmp_path, "pat.txt", THREE_GROUPS)
+    argv = ["suggest-pattern", "--data", ref_csv, "--pattern", pattern, "--out", pattern]
+    message = f"--out {pattern} and --pattern {pattern} name the same file"
+    assert_refused(capsys, argv, message, ref_csv, pattern)
+
+
+def test_simulate_refuses_to_write_over_its_rule_file(tmp_path, capsys):
+    dgp = write(tmp_path, "rules.txt", PATTERN_DGP)
+    argv = ["simulate", "--dgp", dgp, "--n", "10", "--out", dgp]
+    assert_refused(capsys, argv, f"--out {dgp} and --dgp {dgp} name the same file", dgp)
+    assert not Path(dgp + ".truth.json").exists()
+
+
+def test_simulate_refuses_one_file_for_data_and_truth(tmp_path, capsys):
+    dgp = write(tmp_path, "rules.txt", PATTERN_DGP)
+    out = str(tmp_path / "s.csv")
+    argv = ["simulate", "--dgp", dgp, "--n", "10", "--out", out, "--truth", out]
+    assert_refused(capsys, argv, f"--truth {out} and --out {out} name the same file", dgp)
+    assert not Path(out).exists()

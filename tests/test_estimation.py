@@ -505,13 +505,18 @@ def test_resampling_diagnostic_without_targets_says_nothing_was_checked(rows, ca
 
 def test_dense_covariance_size_warning(dref, caplog, monkeypatch):
     quiet = resampling_diagnostic(dref, reps=50, seed=2, sigma2=25.0)
-    monkeypatch.setattr(estimation, "_DENSE_WARN_BYTES", 2 * 8 * 5 * 5 - 1)
+    # the arrays, 2 * 8 * 5 * 5 bytes, and twice their text at 22 bytes a number
+    size = 2 * 8 * 5 * 5 + 2 * 2 * 22 * 5 * 5
+    monkeypatch.setattr(estimation, "_DENSE_WARN_BYTES", size - 1)
     with caplog.at_level(logging.WARNING):
         loud = resampling_diagnostic(dref, reps=50, seed=2, sigma2=25.0)
     warned = [r.getMessage() for r in caplog.records if "dense" in r.getMessage()]
-    assert warned == ["5 targets: the diagnostic's two dense 5 x 5 covariance matrices take 400 bytes"]
-    assert loud.to_dict() == quiet.to_dict()
-    monkeypatch.setattr(estimation, "_DENSE_WARN_BYTES", 2 * 8 * 5 * 5)
+    assert warned == [
+        "5 targets: the diagnostic's two dense 5 x 5 covariance matrices "
+        "and their report take about 2600 bytes"
+    ]
+    assert loud.to_json() == quiet.to_json()
+    monkeypatch.setattr(estimation, "_DENSE_WARN_BYTES", size)
     caplog.clear()
     with caplog.at_level(logging.WARNING):
         resampling_diagnostic(dref, reps=0, sigma2=25.0)

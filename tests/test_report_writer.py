@@ -2,23 +2,33 @@
 
 Every report goes through `json.dumps(payload, indent=2,
 cls=_ReportEncoder)`, so the encoder must give the stock indented text
-byte for byte on any report tree (str keys; lists, tuples, dicts and
-scalars), and fail with a TypeError on what a report tree cannot hold.
+byte for byte on any report tree (str keys; lists, tuples, dicts,
+scalars, and bool, int or float ndarrays as their `tolist()`), and fail
+with a TypeError on what a report tree cannot hold.
 """
 
 import json
 import math
 import sys
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import seqeffects.cli as cli
-from seqeffects import make_markov_dgp, make_reference_fixture, save_dataset, simulate
-from seqeffects.cli import _ReportEncoder, main
+from seqeffects import (
+    make_markov_dgp,
+    make_reference_fixture,
+    parse_dgp,
+    resampling_diagnostic,
+    save_dataset,
+    simulate,
+)
+from seqeffects.cli import _ReportEncoder, _emit, main
 
 TRICKY_TEXT = st.text(
     st.sampled_from(list('"\\/[]{},: \n\t\r\x00\x1f\x7fazé€😀 ')) | st.characters(),
@@ -48,6 +58,28 @@ def trees(leaves=SCALARS):
     )
 
 
+SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+ARRAY_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 1e-310, math.nan, math.inf, -math.inf]
+)
+ARRAYS = (
+    hnp.arrays(np.float64, SHAPES, elements=ARRAY_FLOATS)
+    | hnp.arrays(np.int64, SHAPES)
+    | hnp.arrays(np.bool_, SHAPES)
+)
+
+
+def tolisted(obj):
+    """The tree with every ndarray replaced by its `tolist()`."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: tolisted(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [tolisted(v) for v in obj]
+    return obj
+
+
 def stock(obj, **kwargs):
     return json.dumps(obj, indent=2, **kwargs)
 
@@ -68,6 +100,33 @@ def test_text_without_the_c_encoder_is_the_same(obj):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "c_make_encoder", None)
         assert ours(obj) == stock(obj)
+
+
+@pytest.mark.parametrize("c_encoder", [True, False])
+@settings(max_examples=100, deadline=None)
+@given(obj=trees(SCALARS | ARRAYS))
+def test_ndarrays_are_written_as_their_lists(c_encoder, obj):
+    with pytest.MonkeyPatch.context() as mp:
+        if not c_encoder:
+            mp.setattr(cli, "c_make_encoder", None)
+        assert ours(obj) == stock(tolisted(obj))
+
+
+def test_a_matrix_is_never_one_nested_list(monkeypatch):
+    listed = []
+
+    class Rows(np.ndarray):
+        def tolist(self):
+            listed.append(self.shape)
+            return super().tolist()
+
+    matrix = np.arange(12.0).reshape(3, 4).view(Rows)
+    cube = np.zeros((2, 0, 3)).view(Rows)
+    obj = {"m": matrix, "c": cube, "v": [matrix[0]]}
+    want = stock(tolisted(obj))
+    listed.clear()
+    assert ours(obj) == want
+    assert listed == [(4,)] * 4  # each row once, the empty cube not at all
 
 
 def test_flat_containers_take_one_c_call_each(monkeypatch):
@@ -116,6 +175,9 @@ BAD = [
     (1.5, "two", frozenset()),
     {"a": {"b": [[Decimal("1")]]}},
     object(),
+    {"a": [1.0, np.array([1 + 2j, 3])]},
+    {"a": {"b": np.array([[1.0, "x"]], dtype=object)}},
+    [np.array([0.5]), np.array(["s"])],
 ]
 
 
@@ -126,6 +188,14 @@ def test_unsupported_values_raise_the_stock_error(obj, nested):
         obj = {"fit": {"rows": [[0.5, 1], obj], "n": 3}}
     want = outcome(stock, obj)
     assert want[0] is TypeError and want[1].endswith("is not JSON serializable")
+    assert outcome(ours, obj) == want
+
+
+@pytest.mark.parametrize("obj", BAD, ids=range(len(BAD)))
+def test_unsupported_values_raise_the_stock_error_without_the_c_encoder(obj, monkeypatch):
+    obj = {"fit": {"rows": [[0.5, 1], obj], "n": 3}}
+    want = outcome(stock, obj)
+    monkeypatch.setattr(cli, "c_make_encoder", None)
     assert outcome(ours, obj) == want
 
 
@@ -238,3 +308,27 @@ def test_emit_writes_through_the_modules_json_dumps(panels, monkeypatch):
     assert main(COMMANDS["estimate"] + ["--out", "hooked.json"]) == 0
     assert calls == [{"indent": 2, "cls": _ReportEncoder}]
     assert "seqeffects.cli" in sys.modules
+
+
+# -- what writing a report costs in memory ---------------------------------
+
+
+def test_a_diagnose_report_costs_about_two_copies_of_its_text(tmp_path):
+    # The benchmark's complete T=5 panel: 341 targets, a 5 MB report.
+    rules = (
+        "horizon: 5\nbase: 50\nsigma: 1\nassign: 0.5\ncovariate: 0.5\n"
+        "effect when t == 1: 25\neffect: 10\n"
+    )
+    d = simulate(parse_dgp(rules), 10_000, 11)
+    report = resampling_diagnostic(d, reps=100, seed=0, sigma2=1.0)
+    assert len(report.target_labels) == 341
+    out = tmp_path / "diagnose.json"
+    tracemalloc.start()
+    try:
+        _emit({"resampling": report.to_dict()}, str(out))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert out.read_text() == json.dumps({"resampling": json.loads(report.to_json())}, indent=2) + "\n"
+    assert peak <= 3 * size, f"peak {peak} B for a {size} B report"
