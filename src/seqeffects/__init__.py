@@ -25,11 +25,9 @@ from .errors import (
 from .estimation import (
     FittedNetEffect,
     NetEffectFit,
-    PointEffectEstimate,
     ResamplingReport,
     TestResult,
     discover_pattern,
-    estimate_point_effects,
     expected_target_covariance,
     fit_net_effects,
     net_effect_null_test,
@@ -47,7 +45,6 @@ from .net_effects import (
     verify_decomposition,
 )
 from .patterns import (
-    ConstraintRow,
     ConstraintSystem,
     PatternSpec,
     build_constraints,
@@ -84,7 +81,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Covariate",
     "CoverageError",
-    "ConstraintRow",
     "ConstraintSystem",
     "Dataset",
     "DgpError",
@@ -102,7 +98,6 @@ __all__ = [
     "ParseError",
     "PatternError",
     "PatternSpec",
-    "PointEffectEstimate",
     "PointEffectKey",
     "PointParams",
     "ResamplingReport",
@@ -119,7 +114,6 @@ __all__ = [
     "discover_pattern",
     "downstream_weighted_sum",
     "enumerate_support",
-    "estimate_point_effects",
     "expected_target_covariance",
     "extract_point_params",
     "fit_net_effects",

@@ -30,7 +30,7 @@ from .errors import (
     UsageError,
 )
 from .exprlang import compile_expr
-from .keys import PointEffectKey, StratumKey
+from .keys import PointEffectKey
 from .patterns import ConstraintSystem, PatternGroup, PatternSpec, build_constraints
 from .strata import VarianceMode, _mean_variance, point_effect_targets
 
@@ -50,45 +50,6 @@ _REPORT_BYTES_PER_NUMBER = 22
 
 def _num(value: float) -> float | None:
     return value if math.isfinite(value) else None
-
-
-@dataclass(frozen=True)
-class PointEffectEstimate:
-    key: PointEffectKey
-    time: int
-    value: float
-    variance: float
-    arm_count: int
-    control_count: int
-
-    def to_dict(self) -> dict:
-        return {
-            "key": self.key.label(),
-            "time": self.time,
-            "estimate": self.value,
-            "variance": _num(self.variance),
-            "arm_count": self.arm_count,
-            "control_count": self.control_count,
-        }
-
-
-def estimate_point_effects(
-    d: Dataset, variance_mode: VarianceMode, markov: bool = False
-) -> tuple[list[PointEffectEstimate], list[tuple[StratumKey, str]]]:
-    """Per-target arm contrasts with their sampling variances."""
-    targets, skipped = point_effect_targets(d, markov=markov)
-    estimates = [
-        PointEffectEstimate(
-            t.key,
-            t.time,
-            t.estimate,
-            t.variance(variance_mode),
-            t.arm_count,
-            t.control_count,
-        )
-        for t in targets
-    ]
-    return estimates, skipped
 
 
 @dataclass
@@ -143,12 +104,10 @@ class NetEffectFit:
         needed. A skipped point that no pattern group covers gets a null
         value and standard error, and its note says so.
         """
-        out = []
-        for row in self.system.rows:
-            out.append(self._fitted_at(row.key, row.time, row.estimate, None))
-        for row in self.system.dropped:
-            out.append(self._fitted_at(row.key, row.time, row.estimate, row.note))
-        for key, reason in self.system.skipped:
+        system = self.system
+        observed = zip(system.keys, system.times, system.estimates.tolist(), system.notes)
+        out = [self._fitted_at(*row) for row in observed]
+        for key, reason in system.skipped:
             try:
                 out.append(self._fitted_at(key, key.time, None, reason))
             except CoverageError:
@@ -166,44 +125,43 @@ class NetEffectFit:
         return FittedNetEffect(key, time, value, se, observed, note)
 
     def to_dict(self) -> dict:
-        rows = []
-        for i, row in enumerate(self.system.rows):
-            rows.append(
-                {
-                    "key": row.key.label(),
-                    "time": row.time,
-                    "estimate": row.estimate,
-                    "variance": _num(row.variance),
-                    "weight": row.weight,
-                    "coefficients": row.coefficients.tolist(),
-                    "fitted": float(self.fitted[i]),
-                    "residual": float(self.residuals[i]),
-                    "standardized_residual": float(self.standardized_residuals[i]),
-                }
-            )
+        system = self.system
+        columns = {
+            "key": [key.label() for key in system.keys],
+            "time": system.times,
+            "estimate": system.estimates.tolist(),
+            "variance": [_num(v) for v in system.variances.tolist()],
+        }
+
+        def records(index: np.ndarray, **more: list) -> list[dict]:
+            picked = {name: [c[i] for i in index.tolist()] for name, c in columns.items()}
+            picked.update(more)
+            return [dict(zip(picked, values)) for values in zip(*picked.values())]
+
+        rows = system.rows
         return {
             "schema_version": 1,
-            "pattern": self.system.pattern.to_text(),
+            "pattern": system.pattern.to_text(),
             "param_names": list(self.param_names),
             "params": self.params.tolist(),
             "covariance": self.covariance.tolist(),
             "rank": self.rank,
-            "markov": self.system.markov,
+            "markov": system.markov,
             "variance_mode": self.variance_mode.label(),
-            "targets": rows,
-            "dropped_targets": [
-                {
-                    "key": row.key.label(),
-                    "time": row.time,
-                    "estimate": row.estimate,
-                    "variance": _num(row.variance),
-                    "note": row.note,
-                }
-                for row in self.system.dropped
-            ],
+            "targets": records(
+                rows,
+                weight=system.weights[rows].tolist(),
+                coefficients=system.coefficients[rows].tolist(),
+                fitted=self.fitted.tolist(),
+                residual=self.residuals.tolist(),
+                standardized_residual=self.standardized_residuals.tolist(),
+            ),
+            "dropped_targets": records(
+                system.dropped, note=[system.notes[i] for i in system.dropped.tolist()]
+            ),
             "skipped_strata": [
                 {"key": key.label(), "reason": reason}
-                for key, reason in self.system.skipped
+                for key, reason in system.skipped
             ],
             "fitted_net_effects": [f.to_dict() for f in self.net_effect_estimates()],
         }
@@ -247,20 +205,20 @@ def fit_net_effects(
             "nothing in the data certifies that"
         )
     system = build_constraints(spec, d, variance_mode, markov=markov)
-    if not system.rows:
+    rows = system.rows
+    if not rows.size:
         raise EstimabilityError("no targets with a positive weight; nothing to fit")
-    C = system.matrix
+    C = system.coefficients[rows]
     bad = np.argwhere(~np.isfinite(C))
     if bad.size:
         i, j = bad[0]
         raise PatternError(
-            f"target {system.rows[i].key.label()}: the coefficient of parameter "
+            f"target {system.keys[rows[i]].label()}: the coefficient of parameter "
             f"{spec.param_names[j]!r} is not finite ({float(C[i, j])!r}): its "
             "feature row and downstream loads overflow when summed"
         )
-    b = np.array([row.estimate for row in system.rows])
-    w = np.array([row.weight for row in system.rows])
-    sqrt_w = np.sqrt(w)
+    b = system.estimates[rows]
+    sqrt_w = np.sqrt(system.weights[rows])
     A = C * sqrt_w[:, None]
     U, S, Vt = np.linalg.svd(A, full_matrices=False)
     rank = int(np.sum(S > _RANK_RTOL * S[0]))
@@ -280,7 +238,7 @@ def fit_net_effects(
         names = spec.param_names
         raise IdentifiabilityError(
             f"only {rank} of {k} pattern parameters are identified by "
-            f"{len(system.rows)} usable targets; unidentified directions span "
+            f"{rows.size} usable targets; unidentified directions span "
             + "; ".join(_combination(v, names) for v in null_space),
             null_space=null_space,
         )

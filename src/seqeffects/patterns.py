@@ -176,35 +176,31 @@ def parse_pattern(source: str) -> PatternSpec:
 
 
 @dataclass
-class ConstraintRow:
-    """One target's contribution to the pooled system."""
-
-    key: PointEffectKey
-    time: int
-    coefficients: np.ndarray
-    estimate: float
-    variance: float
-    weight: float
-    note: str | None = None
-
-
-@dataclass
 class ConstraintSystem:
-    """The weighted rows, plus every feature row evaluated to build them."""
+    """One weighted linear equation per target, held as arrays.
+
+    Row i is target i of `point_effect_targets`: its key and period,
+    its (m, k) `coefficients` row, its `estimates`, `variances` and
+    `weights` entry (1 / variance, or 0 with a note), and its `notes`
+    entry (None for a usable row). `rows` and `dropped` index the rows
+    with positive and zero weight, in target order. `features` holds
+    every feature row evaluated to build the system.
+    """
 
     pattern: PatternSpec
     horizon: int
-    rows: list[ConstraintRow]
-    dropped: list[ConstraintRow]
+    keys: list[PointEffectKey]
+    times: list[int]
+    coefficients: np.ndarray
+    estimates: np.ndarray
+    variances: np.ndarray
+    weights: np.ndarray
+    notes: list[str | None]
+    rows: np.ndarray
+    dropped: np.ndarray
     skipped: list[tuple[PointEffectKey, str]]
     markov: bool
     features: dict[PointEffectKey, np.ndarray]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if not self.rows:
-            return np.zeros((0, self.pattern.size))
-        return np.vstack([r.coefficients for r in self.rows])
 
 
 def build_constraints(
@@ -234,34 +230,39 @@ def build_constraints(
                 raise _unidentified(key, skipped) from None
         return row
 
-    rows: list[ConstraintRow] = []
-    dropped: list[ConstraintRow] = []
+    coefficients = np.zeros((len(targets), spec.size))
     # Overflowing loads fail once, in the fit's matrix check, not as warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         loads = _downstream_loads(d.periods(markov), feature, spec.size)
-        for target in targets:
+        for i, target in enumerate(targets):
             load = loads[target.time - 1]
-            coeff = feature(target.key) + load[target.arm] - load[target.control]
-            variance = target.variance(variance_mode)
-            weight = 0.0
-            note = None
-            if not np.isfinite(variance):
-                note = "variance not estimable (each arm needs at least 2 records)"
-            elif variance <= 0.0:
-                note = "zero variance estimate"
-            else:
-                weight = 1.0 / variance
-            row = ConstraintRow(
-                target.key,
-                target.time,
-                coeff,
-                target.estimate,
-                variance,
-                weight,
-                note,
-            )
-            (rows if weight > 0.0 else dropped).append(row)
-    return ConstraintSystem(spec, horizon, rows, dropped, skipped, markov, cache)
+            coefficients[i] = feature(target.key) + load[target.arm] - load[target.control]
+    variances = np.array([t.variance(variance_mode) for t in targets])
+    usable = np.isfinite(variances) & (variances > 0.0)
+    weights = np.zeros(len(targets))
+    weights[usable] = 1.0 / variances[usable]
+    notes = [
+        None if ok
+        else "zero variance estimate" if math.isfinite(v)
+        else "variance not estimable (each arm needs at least 2 records)"
+        for ok, v in zip(usable.tolist(), variances.tolist())
+    ]
+    return ConstraintSystem(
+        spec,
+        horizon,
+        [t.key for t in targets],
+        [t.time for t in targets],
+        coefficients,
+        np.array([t.estimate for t in targets]),
+        variances,
+        weights,
+        notes,
+        np.flatnonzero(usable),
+        np.flatnonzero(~usable),
+        skipped,
+        markov,
+        cache,
+    )
 
 
 def _unidentified(key: PointEffectKey, skipped) -> EstimabilityError:

@@ -74,6 +74,9 @@ def _mean_variance(values: np.ndarray, mode: VarianceMode) -> float:
         raise EstimabilityError(
             "estimated mean variance needs at least 2 records"
         )
+    if values.min() == values.max():
+        # The mean of equal values can round away from them.
+        return 0.0
     mean = float(values.mean())
     return float(((values - mean) ** 2).sum()) / (n * (n - 1))
 

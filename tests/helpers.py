@@ -34,6 +34,7 @@ from seqeffects import (
 )
 from seqeffects.dataset import _parse_header
 from seqeffects.estimation import FlaggedPair
+from seqeffects.patterns import _downstream_loads
 from seqeffects.simulator import (
     _assignment_prob,
     _history_arrays,
@@ -346,6 +347,56 @@ def filled_load_rows(loads):
         for t, load in enumerate(loads, start=1)
         for g in np.flatnonzero(~np.isnan(load).all(axis=1)).tolist()
     }
+
+
+def constraint_rows_reference(spec, d, variance_mode, markov=False):
+    """Constraint rows one target at a time, as `build_constraints` once
+    built them: a (key, time, coefficients, estimate, variance, weight,
+    note) tuple per target, in target order. The coefficients are the
+    target's feature row plus its arm's downstream load minus its
+    control's; the weight is 1 / variance, or 0 with a note when the
+    variance is not finite and positive. For patterns that cover every
+    key the loads ask for."""
+    targets, _ = point_effect_targets(d, markov=markov)
+    features = {}
+
+    def feature(key):
+        if key not in features:
+            features[key] = spec.feature_row(key, d.horizon)
+        return features[key]
+
+    rows = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        loads = _downstream_loads(d.periods(markov), feature, spec.size)
+        for target in targets:
+            load = loads[target.time - 1]
+            coeff = feature(target.key) + load[target.arm] - load[target.control]
+            variance = target.variance(variance_mode)
+            weight = 0.0
+            note = None
+            if not np.isfinite(variance):
+                note = "variance not estimable (each arm needs at least 2 records)"
+            elif variance <= 0.0:
+                note = "zero variance estimate"
+            else:
+                weight = 1.0 / variance
+            rows.append(
+                (target.key, target.time, coeff, target.estimate, variance, weight, note)
+            )
+    return rows
+
+
+def constant_arm_panel(value, seed=5):
+    """Two periods, binary z1, x1 and z2, three records per cell. Both arms
+    of stratum z1=0, x1=0 hold `value` in every record; the other cells
+    draw y = z1 + 0.5 z2 + N(0, 0.5^2)."""
+    rng = np.random.default_rng(seed)
+    cells = [c for c in itertools.product((0, 1), repeat=3) for _ in range(3)]
+    z = np.array([(z1, z2) for z1, _, z2 in cells])
+    x = np.array([x1 for _, x1, _ in cells]).reshape(-1, 1, 1)
+    y = z[:, 0] + 0.5 * z[:, 1] + rng.normal(0.0, 0.5, len(cells))
+    y[(z[:, 0] == 0) & (x[:, 0, 0] == 0)] = value
+    return Dataset(z, x, y, [f"u{i}" for i in range(len(cells))])
 
 
 def pooled_outcome_variance_reference(d):

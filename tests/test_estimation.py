@@ -4,7 +4,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
@@ -15,6 +15,7 @@ from seqeffects import (
     IdentifiabilityError,
     UsageError,
     VarianceMode,
+    build_constraints,
     discover_pattern,
     expected_target_covariance,
     fit_net_effects,
@@ -32,6 +33,8 @@ from seqeffects import (
 from seqeffects import estimation
 from helpers import (
     complete_histories,
+    constant_arm_panel,
+    constraint_rows_reference,
     expected_covariance_reference,
     null_statistic_reference,
     pooled_outcome_variance_reference,
@@ -348,6 +351,97 @@ def test_standard_equality_test_matches_the_record_loop(d, mode):
     assert res.df == df
     assert res.statistic == pytest.approx(statistic, rel=1e-12, abs=0.0)
     assert res.p_value == pytest.approx(float(chi2.sf(statistic, df)), rel=1e-12, abs=0.0)
+
+
+TWO_PERIODS = "group a: when t == 1\ngroup b: when t == 2\n"
+CONSTRAINT_PATTERNS = [
+    "group early: when t == 1\ngroup late: when t >= 2\n",
+    "group first: when t == 1\nterm lin: t\nterm dose: z[t]\n",
+]
+# At t=2 both arms of stratum z1=1, x1=0 and the arm z1=0, x1=0, z2=1
+# hold one record each; stratum z1=0, x1=1 has no control.
+SINGLETON_ARMS = Dataset(
+    np.array([[0, 0], [0, 0], [0, 1], [0, 1], [1, 0], [1, 1], [0, 1]]),
+    np.array([0, 0, 1, 0, 0, 0, 1]).reshape(-1, 1, 1),
+    np.array([10.0, 11.0, 12.0, 13.5, 20.0, 30.0, 12.5]),
+    [f"u{i}" for i in range(7)],
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=small_panels(),
+    markov=st.booleans(),
+    mode=st.sampled_from([VarianceMode.known(2.0), VarianceMode.estimated()]),
+    pattern=st.sampled_from(CONSTRAINT_PATTERNS),
+)
+@example(
+    d=constant_arm_panel(0.1),
+    markov=False,
+    mode=VarianceMode.estimated(),
+    pattern=CONSTRAINT_PATTERNS[0],
+)
+@example(
+    d=SINGLETON_ARMS,
+    markov=True,
+    mode=VarianceMode.estimated(),
+    pattern=CONSTRAINT_PATTERNS[1],
+)
+def test_constraint_arrays_match_the_per_target_loop(d, markov, mode, pattern):
+    spec = parse_pattern(pattern)
+    system = build_constraints(spec, d, mode, markov=markov)
+    rows = constraint_rows_reference(spec, d, mode, markov=markov)
+    m = len(rows)
+    keys, times, coefficients, estimates, variances, weights, notes = (
+        [list(column) for column in zip(*rows)] if rows else [[]] * 7
+    )
+    assert system.keys == keys
+    assert system.times == times
+    assert all(type(t) is int for t in system.times)
+    assert system.notes == notes
+
+    def same_bits(array, values, shape):
+        want = np.array(values, dtype=float).reshape(shape)
+        return array.shape == shape and array.tobytes() == want.tobytes()
+
+    assert same_bits(system.coefficients, coefficients, (m, spec.size))
+    assert same_bits(system.estimates, estimates, (m,))
+    assert same_bits(system.variances, variances, (m,))
+    assert same_bits(system.weights, weights, (m,))
+    assert system.rows.tolist() == [i for i, w in enumerate(weights) if w > 0.0]
+    assert system.dropped.tolist() == [i for i, w in enumerate(weights) if w == 0.0]
+
+
+def test_the_constraint_examples_drop_rows_for_both_reasons():
+    spec = parse_pattern(CONSTRAINT_PATTERNS[0])
+    notes = set()
+    for d in (constant_arm_panel(0.1), SINGLETON_ARMS):
+        system = build_constraints(spec, d, VarianceMode.estimated())
+        notes.update(system.notes[i] for i in system.dropped)
+    assert notes == {
+        "zero variance estimate",
+        "variance not estimable (each arm needs at least 2 records)",
+    }
+
+
+@pytest.mark.parametrize("value", [0.3, 0.1])
+def test_an_arm_without_spread_has_zero_variance(value):
+    # The mean of three records of 0.1 rounds away from 0.1: without a
+    # test for equal values this target got a variance of about 1e-34, a
+    # weight of about 5e33, and pinned parameter b to about 1e-32.
+    d = constant_arm_panel(value)
+    mode = VarianceMode.estimated()
+    targets, _ = point_effect_targets(d)
+    variances = {t.key.label(): t.variance(mode) for t in targets}
+    assert variances.pop("z1=0 x1=0 z2=1") == 0.0
+    assert min(variances.values()) > 0.01
+    fit = fit_net_effects(parse_pattern(TWO_PERIODS), d, mode)
+    system = fit.system
+    assert [system.keys[i].label() for i in system.dropped] == ["z1=0 x1=0 z2=1"]
+    assert system.notes[system.dropped[0]] == "zero variance estimate"
+    assert system.rows.size == 4
+    assert fit.covariance[1, 1] > 0.01
+    assert net_effect_null_test(d, mode).df == 4
 
 
 def test_pooled_outcome_variance(d16):

@@ -98,18 +98,20 @@ def test_pooled_key_rejects_pooled_away_references():
 def test_constraint_rows_on_the_small_fixture(d16):
     spec = parse_pattern(THREE_GROUPS)
     system = build_constraints(spec, d16, VarianceMode.known(1.0))
-    assert len(system.rows) == 5
-    by_label = {r.key.label(): r for r in system.rows}
-    row1 = by_label["z1=1"]
+    assert system.rows.tolist() == [0, 1, 2, 3, 4]
+    assert system.dropped.size == 0
+    row = {key.label(): i for i, key in enumerate(system.keys)}
+    first = row["z1=1"]
     # direct hit on group 1, then downstream share shifts:
     # arm side 3/8 into mid (x=0) and 3/8 into last (x=1),
     # control side 4/8 into mid, nothing into last
-    np.testing.assert_allclose(row1.coefficients, [1.0, -0.125, 0.375])
-    assert row1.estimate == pytest.approx(16.25)
-    assert row1.weight == pytest.approx(1.0 / row1.variance)
-    np.testing.assert_allclose(by_label["z1=0 x1=0 z2=1"].coefficients, [0, 1, 0])
-    np.testing.assert_allclose(by_label["z1=1 x1=1 z2=1"].coefficients, [0, 0, 1])
-    assert system.matrix.shape == (5, 3)
+    np.testing.assert_allclose(system.coefficients[first], [1.0, -0.125, 0.375])
+    assert system.estimates[first] == pytest.approx(16.25)
+    assert system.weights[first] == pytest.approx(1.0 / system.variances[first])
+    np.testing.assert_allclose(system.coefficients[row["z1=0 x1=0 z2=1"]], [0, 1, 0])
+    np.testing.assert_allclose(system.coefficients[row["z1=1 x1=1 z2=1"]], [0, 0, 1])
+    assert system.coefficients.shape == (5, 3)
+    assert system.notes == [None] * 5
     assert not system.markov
 
 
@@ -134,10 +136,12 @@ def test_constraints_drop_inestimable_rows_in_estimated_mode():
     d = load_dataset(io.StringIO("\n".join(rows) + "\n"))
     spec = parse_pattern("group a: when t == 1\ngroup b: when t == 2\n")
     system = build_constraints(spec, d, VarianceMode.estimated())
-    dropped_labels = [r.key.label() for r in system.dropped]
-    assert "z1=1 x1=0 z2=1" in dropped_labels
-    note = [r.note for r in system.dropped if r.key.label() == "z1=1 x1=0 z2=1"][0]
-    assert "at least 2 records" in note
+    dropped = {system.keys[i].label(): i for i in system.dropped}
+    assert "z1=1 x1=0 z2=1" in dropped
+    i = dropped["z1=1 x1=0 z2=1"]
+    assert "at least 2 records" in system.notes[i]
+    assert system.weights[i] == 0.0
+    assert system.variances[i] == np.inf
 
 
 def test_saturated_pattern_reproduces_targets(d16):
@@ -145,9 +149,9 @@ def test_saturated_pattern_reproduces_targets(d16):
     assert spec.size == 5
     system = build_constraints(spec, d16, VarianceMode.known(1.0))
     # square system, one indicator per row after the downstream adjustment
-    assert system.matrix.shape == (5, 5)
-    for row in system.rows:
-        matched = spec.feature_row(row.key, d16.horizon)
+    assert system.coefficients[system.rows].shape == (5, 5)
+    for i in system.rows:
+        matched = spec.feature_row(system.keys[i], d16.horizon)
         assert matched.max() == 1.0
 
 
@@ -155,7 +159,8 @@ def test_markov_system_pools_strata(d16):
     spec = parse_pattern("group a: when t == 1\ngroup b: when t == 2\n")
     system = build_constraints(spec, d16, VarianceMode.known(1.0), markov=True)
     assert system.markov
-    pooled = [r for r in system.rows if isinstance(r.key, MarkovKey)]
+    keys = [system.keys[i] for i in system.rows]
+    pooled = [key for key in keys if isinstance(key, MarkovKey)]
     assert len(pooled) == 4
-    for row in pooled:
-        assert row.key.label().endswith("pooled")
+    for key in pooled:
+        assert key.label().endswith("pooled")

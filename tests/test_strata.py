@@ -6,7 +6,6 @@ from seqeffects import (
     StratumKey,
     UsageError,
     VarianceMode,
-    estimate_point_effects,
     point_effect_targets,
 )
 
@@ -62,14 +61,15 @@ def test_point_effect_targets_cover_every_arm(d16):
 
 
 def test_point_effect_estimates_match_cell_contrasts(d16):
-    ests, dropped = estimate_point_effects(d16, VarianceMode.known(1.0))
-    by_label = {e.key.label(): e for e in ests}
-    assert by_label["z1=1"].value == pytest.approx(16.25)
-    assert by_label["z1=1"].variance == pytest.approx(0.25)
-    assert by_label["z1=0 x1=0 z2=1"].value == pytest.approx(20.0)
-    assert by_label["z1=1 x1=1 z2=1"].value == pytest.approx(-10.0)
-    assert by_label["z1=1 x1=0 z2=1"].variance == pytest.approx(1 / 3 + 1)
-    assert dropped == []
+    targets, skipped = point_effect_targets(d16)
+    by_label = {t.key.label(): t for t in targets}
+    known = VarianceMode.known(1.0)
+    assert by_label["z1=1"].estimate == pytest.approx(16.25)
+    assert by_label["z1=1"].variance(known) == pytest.approx(0.25)
+    assert by_label["z1=0 x1=0 z2=1"].estimate == pytest.approx(20.0)
+    assert by_label["z1=1 x1=1 z2=1"].estimate == pytest.approx(-10.0)
+    assert by_label["z1=1 x1=0 z2=1"].variance(known) == pytest.approx(1 / 3 + 1)
+    assert skipped == []
 
 
 def test_markov_targets_pool_histories(d16):
