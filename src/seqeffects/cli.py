@@ -33,6 +33,8 @@ from .dataset import _decode, load_dataset, save_dataset
 from .errors import (
     DgpError,
     DomainError,
+    EstimabilityError,
+    IdentifiabilityError,
     ParseError,
     SeqEffectsError,
     UsageError,
@@ -44,7 +46,7 @@ from .estimation import (
     resampling_diagnostic,
 )
 from .net_effects import compute_net_effects, verify_decomposition
-from .patterns import parse_pattern, saturated_pattern
+from .patterns import build_constraints, parse_pattern, saturated_pattern
 from .simulator import causal_net_effects, parse_dgp, simulate
 from .strata import VarianceMode
 
@@ -331,7 +333,12 @@ def cmd_suggest_pattern(args) -> int:
     else:
         spec = parse_pattern(_read_text(args.pattern))
     mode = VarianceMode.parse(args.variance_mode)
-    fit = fit_net_effects(spec, d, mode, markov=args.markov)
+    try:
+        fit = fit_net_effects(spec, d, mode, markov=args.markov)
+    except IdentifiabilityError:
+        if args.pattern is None:
+            _refuse_dropped_targets(build_constraints(spec, d, mode, markov=args.markov))
+        raise
     report = discover_pattern(fit, alpha=args.alpha)
     _emit(
         {
@@ -344,6 +351,21 @@ def cmd_suggest_pattern(args) -> int:
         args.out,
     )
     return 0
+
+
+def _refuse_dropped_targets(system) -> None:
+    """EstimabilityError naming the zero-weight targets of a saturated
+    system, which has one group per target and so cannot spare one."""
+    dropped = system.dropped.tolist()
+    if not dropped:
+        return
+    named = "; ".join(f"{system.keys[i].label()}: {system.notes[i]}" for i in dropped[:5])
+    more = f"; and {len(dropped) - 5} more" if len(dropped) > 5 else ""
+    raise EstimabilityError(
+        f"{len(dropped)} of {len(system.notes)} targets have zero weight, and the "
+        f"default pattern (one group per target) needs them all: {named}{more}; "
+        "pass --pattern with a pattern that pools them, or --variance-mode known:<sigma2>"
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -28,13 +28,14 @@ import math
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError, ParseError, UsageError
-from .keys import MarkovKey, PointEffectKey, StratumKey
+from .keys import MarkovKey, PointEffectKey, StratumKey, _markov_template, _template
 from .tables import MeanTable, sort_histories
 
 _Z_COL = re.compile(r"^z(\d+)$")
@@ -74,30 +75,114 @@ class _ArmKeys(Sequence):
         return map(self.__getitem__, range(len(self)))
 
 
+class _PickedKeys(Sequence):
+    """Read-only sequence of the keys of arms picked from several periods:
+    item i is the key of arm `arms[i]` of `periods[i]`, built when read
+    like a period's own keys. `labels()` gives every item's label from
+    the heads without building a key, and `rows()` each item's row of
+    per-period arrays."""
+
+    __slots__ = ("periods", "arms")
+
+    def __init__(self, periods: Sequence["PeriodArms"], arms: Sequence[int]):
+        self.periods = periods
+        self.arms = arms
+
+    def __len__(self) -> int:
+        return len(self.arms)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        return self.periods[i].keys[self.arms[i]]
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other):
+        """Equal to any list or tuple of the same items, as a list is."""
+        if isinstance(other, (_PickedKeys, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def labels(self) -> list[str]:
+        """`[key.label() for key in self]`, formatted a period at a time."""
+        return [label for period, arms in self._runs() for label in period.labels(arms)]
+
+    def rows(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
+        """Row `arms[i]` of the block of period i's time, for each item:
+        `blocks` holds one (arms, k) array per period."""
+        parts = [blocks[period.time - 1][arms] for period, arms in self._runs()]
+        return np.concatenate(parts) if parts else np.empty((0, blocks[0].shape[1]))
+
+    def _runs(self):
+        """(period, arms) for each run of items from one period."""
+        periods = self.periods
+        cuts = [i for i in range(1, len(periods)) if periods[i] is not periods[i - 1]]
+        for lo, hi in zip([0, *cuts], [*cuts, len(periods)]):
+            if hi > lo:
+                yield periods[lo], self.arms[lo:hi]
+
+
 @dataclass(frozen=True)
 class PeriodArms:
     """One period's treatment arms, sorted by key, as arrays over the
     records: record i is in arm `codes[i]`, and arm g holds the outcomes
     `outcomes[bounds[g]:bounds[g + 1]]`, takes treatment `arms[g]`, and
     has its stratum's control arm at `control[g]` (-1 when unobserved).
-    `keys[g]` names arm g; it is built on first use (see `_ArmKeys`)."""
 
-    keys: _ArmKeys
+    Arm g's key is the row `heads[g]`: the treatments and covariate
+    vectors z[first], x[first], ..., x[time - 1], z[time] interleaved,
+    `width` components to a vector, where `first` is 1 for a full-history
+    arm and time - 1 for a `pooled` one. `keys[g]` builds that key on
+    first use (see `_ArmKeys`); `labels` formats labels from the rows."""
+
+    time: int
+    pooled: bool
+    width: int
+    heads: np.ndarray
     codes: np.ndarray
     bounds: np.ndarray
     outcomes: np.ndarray
     arms: np.ndarray
     control: np.ndarray
 
+    @cached_property
+    def keys(self) -> _ArmKeys:
+        return _ArmKeys(self.heads, self._key)
+
+    def _key(self, r: list[int]) -> PointEffectKey:
+        if self.pooled:
+            return MarkovKey(self.time, r[0], tuple(r[1:-1]), r[-1])
+        step = 1 + self.width
+        covs = (tuple(r[i + 1 : i + step]) for i in range(0, len(r) - 1, step))
+        return StratumKey(tuple(r[::step]), tuple(covs))
+
+    def labels(self, index) -> list[str]:
+        """The labels of arms `index`, as their keys' `label()` reads."""
+        t, w = self.time, self.width
+        if self.pooled:
+            template, cols = _markov_template(t, w), slice(None)
+        else:
+            step = 1 + w
+            template = _template(t, (w,) * (t - 1))
+            # the template takes the treatments first, then the covariates
+            cols = [s * step for s in range(t)]
+            cols += [s * step + i for s in range(t - 1) for i in range(1, w + 1)]
+        rows = self.heads[np.asarray(index, dtype=np.intp)][:, cols].tolist()
+        return [template.format(*r) for r in rows]
+
     def values(self, g: int) -> np.ndarray:
         return self.outcomes[self.bounds[g] : self.bounds[g + 1]]
 
 
-def _period_arms(order, cols, key, outcomes) -> PeriodArms:
+def _period_arms(order, cols, outcomes, time, pooled, width) -> PeriodArms:
     """The arms of `cols` (last column: the treatment) as the runs of equal
-    rows among the records in `order`; `key` maps a run's row, as a list,
-    to its key when the key is first read, and `outcomes` are the
-    outcomes in `order`."""
+    rows among the records in `order`, whose outcomes in that order are
+    `outcomes`; `time`, `pooled` and `width` describe the columns as
+    `PeriodArms` does."""
     n = order.size
     new = np.zeros(n, dtype=bool)
     new[0] = True
@@ -111,7 +196,10 @@ def _period_arms(order, cols, key, outcomes) -> PeriodArms:
     stratum[1:] = np.any(heads[1:, :-1] != heads[:-1, :-1], axis=1)
     first = np.flatnonzero(stratum)[np.cumsum(stratum) - 1]
     return PeriodArms(
-        _ArmKeys(heads, key),
+        time,
+        pooled,
+        width,
+        heads,
         codes,
         np.append(np.flatnonzero(new), n),
         outcomes,
@@ -205,13 +293,10 @@ class Dataset:
         order, cols = sort_histories(self.z, self.x)
         outcomes = self.y[order]
         step = 1 + self.covariate_width
-
-        def key(r):
-            covs = (tuple(r[i + 1 : i + step]) for i in range(0, len(r) - 1, step))
-            return StratumKey(tuple(r[::step]), tuple(covs))
-
         return tuple(
-            _period_arms(order, cols[: (t - 1) * step + 1], key, outcomes)
+            _period_arms(
+                order, cols[: (t - 1) * step + 1], outcomes, t, False, self.covariate_width
+            )
             for t in range(1, self.horizon + 1)
         )
 
@@ -222,16 +307,12 @@ class Dataset:
                 cols = [self.z[:, 0]]
             else:
                 cols = [self.z[:, t - 2], *self.x[:, t - 2].T, self.z[:, t - 1]]
-
-            def key(r, t=t):
-                if t == 1:
-                    return StratumKey((r[0],), ())
-                return MarkovKey(t, r[0], tuple(r[1:-1]), r[-1])
-
             # A stable lexsort sorts the signatures and keeps record order
             # within each, many times faster than np.unique(axis=0).
             order = np.lexsort(cols[::-1])
-            out.append(_period_arms(order, cols, key, self.y[order]))
+            out.append(
+                _period_arms(order, cols, self.y[order], t, t > 1, self.covariate_width)
+            )
         return tuple(out)
 
     def treatment_levels(self, t: int) -> tuple[int, ...]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Sequence
 
@@ -54,22 +54,23 @@ def _num(value: float) -> float | None:
 
 @dataclass
 class FittedNetEffect:
-    key: PointEffectKey
-    time: int
+    """The pattern's net effect at arm `arm` of `period`; `key` is built
+    when read."""
+
+    period: PeriodArms = field(repr=False)
+    arm: int
     value: float | None
     se: float | None
     observed_estimate: float | None
     note: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "key": self.key.label(),
-            "time": self.time,
-            "value": self.value,
-            "se": self.se,
-            "observed_estimate": self.observed_estimate,
-            "note": self.note,
-        }
+    @property
+    def key(self) -> PointEffectKey:
+        return self.period.keys[self.arm]
+
+    @property
+    def time(self) -> int:
+        return self.period.time
 
 
 @dataclass
@@ -105,29 +106,53 @@ class NetEffectFit:
         value and standard error, and its note says so.
         """
         system = self.system
-        observed = zip(system.keys, system.times, system.estimates.tolist(), system.notes)
-        out = [self._fitted_at(*row) for row in observed]
-        for key, reason in system.skipped:
-            try:
-                out.append(self._fitted_at(key, key.time, None, reason))
-            except CoverageError:
-                note = f"{reason}; no pattern group covers it"
-                out.append(FittedNetEffect(key, key.time, None, None, None, note))
-        out.sort(key=lambda f: (f.time, f.key.label()))
-        return out
+        fitted = self._fitted_net_effects(system.keys.labels() + system.skipped.labels())
+        return [FittedNetEffect(*row) for row in zip(*fitted[:2], *fitted[4:])]
 
-    def _fitted_at(self, key, time, observed, note) -> FittedNetEffect:
-        f = self.system.features.get(key)
-        if f is None:
-            f = self.system.pattern.feature_row(key, self.system.horizon)
-        value = float(f @ self.params)
-        se = float(math.sqrt(max(f @ self.covariance @ f, 0.0)))
-        return FittedNetEffect(key, time, value, se, observed, note)
+    def _fitted_net_effects(self, labels: list[str]) -> tuple[list, ...]:
+        """Columns of the fitted net effects in report order, by period,
+        then label: periods, arms, labels, times, values, standard errors,
+        observed estimates and notes. `labels` are the labels of the
+        targets, then of the skipped arms. Each value is f @ params and
+        each standard error sqrt(max(f @ covariance @ f, 0)) for the
+        point's feature row f."""
+        system = self.system
+        keys, skipped = system.keys, system.skipped
+        periods = [*keys.periods, *skipped.periods]
+        arms = [*keys.arms, *skipped.arms]
+        times = [period.time for period in periods]
+        observed = system.estimates.tolist() + [None] * len(skipped)
+        notes = system.notes + [skipped.reason] * len(skipped)
+        f = np.concatenate([keys.rows(system.features), skipped.rows(system.features)])
+        covered = np.ones(len(arms), dtype=bool)
+        # Only a skipped arm's row can still be NaN: its key gives it, or
+        # says that no group covers the arm.
+        for i in np.flatnonzero(np.isnan(f[:, 0])).tolist():
+            try:
+                f[i] = system.pattern.feature_row(periods[i].keys[arms[i]], system.horizon)
+            except CoverageError:
+                f[i] = 0.0
+                covered[i] = False
+                notes[i] = f"{notes[i]}; no pattern group covers it"
+        # Stacked one-row products round as f @ params and f @ cov @ f do
+        # row by row; (m, k) products such as f @ params may not.
+        stacked = f[:, None, :]
+        values = (stacked @ self.params)[:, 0]
+        variance = (stacked @ self.covariance @ f[:, :, None])[:, 0, 0]
+        # max(v, 0.0) keeps v unless 0.0 is larger, -0.0 and NaN included
+        ses = np.sqrt(np.where(0.0 > variance, 0.0, variance))
+        values, ses = values.tolist(), ses.tolist()
+        for i in np.flatnonzero(~covered).tolist():
+            values[i] = ses[i] = None
+        order = sorted(range(len(arms)), key=list(zip(times, labels)).__getitem__)
+        columns = (periods, arms, labels, times, values, ses, observed, notes)
+        return tuple([column[i] for i in order] for column in columns)
 
     def to_dict(self) -> dict:
         system = self.system
+        labels, skipped_labels = system.keys.labels(), system.skipped.labels()
         columns = {
-            "key": [key.label() for key in system.keys],
+            "key": labels,
             "time": system.times,
             "estimate": system.estimates.tolist(),
             "variance": [_num(v) for v in system.variances.tolist()],
@@ -160,10 +185,15 @@ class NetEffectFit:
                 system.dropped, note=[system.notes[i] for i in system.dropped.tolist()]
             ),
             "skipped_strata": [
-                {"key": key.label(), "reason": reason}
-                for key, reason in system.skipped
+                {"key": label, "reason": system.skipped.reason}
+                for label in skipped_labels
             ],
-            "fitted_net_effects": [f.to_dict() for f in self.net_effect_estimates()],
+            "fitted_net_effects": [
+                {"key": k, "time": t, "value": v, "se": se, "observed_estimate": o, "note": n}
+                for k, t, v, se, o, n in zip(
+                    *self._fitted_net_effects(labels + skipped_labels)[2:]
+                )
+            ],
         }
 
     def to_json(self, **kwargs) -> str:

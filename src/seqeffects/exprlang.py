@@ -10,14 +10,26 @@ History lookups follow one convention everywhere: positions s below 1
 read as the reference value 0, positions beyond what the evaluation point
 determines are an error, and covariate components i are 1-based to match
 the x{s}_{i} column labels.
+
+`CompiledExpr.eval_arrays` evaluates an expression once over many
+evaluation points that share t and T, with views whose lookups return
+columns. It gives each point the value `eval` would, bit for bit, or
+raises: a PatternError where a lookup fails, and `InexactArrays` where
+array arithmetic could differ from Python's, so that the caller can
+evaluate those points one at a time.
 """
 
 from __future__ import annotations
 
 import ast
+import itertools
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from types import CodeType
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import PatternError
 
@@ -48,6 +60,19 @@ class CompiledExpr:
 
     def eval_predicate(self, env: dict) -> bool:
         return bool(self.eval(env))
+
+    def eval_arrays(self, env: dict) -> object:
+        """The value at every point of a batch: a scalar shared by all, or
+        an array with one entry per point. `env` holds t and T as numbers
+        and views over columns; raises PatternError or `InexactArrays`
+        where a point must be evaluated alone (see the module docstring)."""
+        return self._arrays.eval({**env, **_ARRAY_OPS})
+
+    @cached_property
+    def _arrays(self) -> "CompiledExpr":
+        tree = _ArrayForm().visit(ast.parse(self.text, mode="eval"))
+        code = compile(ast.fix_missing_locations(tree), "<expr>", "eval")
+        return CompiledExpr(self.text, code, self.uses)
 
 
 def compile_expr(
@@ -187,3 +212,185 @@ class CovariateView(TreatmentView):
 
     def _read(self, vec) -> _Row:
         return _Row(vec, self._error)
+
+
+# -- evaluation over arrays ----------------------------------------------
+
+# Integers up to this magnitude are exact in int64 and in float64, so
+# array arithmetic and comparisons on them agree with Python's.
+_EXACT = 2**53
+
+
+class InexactArrays(ArithmeticError):
+    """Array evaluation could differ from Python's for some point."""
+
+
+class _ArrayForm(ast.NodeTransformer):
+    """Rewrites a validated expression into calls of `_ARRAY_OPS`.
+
+    and/or and chained comparisons keep Python's order and laziness: a
+    later operand is evaluated only when some point needs it, through a
+    conditional expression over a temporary name.
+    """
+
+    _CALLS = {
+        ast.Add: "_add", ast.Sub: "_sub", ast.Mult: "_mul",
+        ast.Not: "_not", ast.USub: "_neg", ast.UAdd: "_pos",
+        ast.Eq: "_eq", ast.NotEq: "_ne", ast.Lt: "_lt",
+        ast.LtE: "_le", ast.Gt: "_gt", ast.GtE: "_ge",
+    }
+
+    def __init__(self):
+        self._names = (f"_{i}" for i in itertools.count())
+
+    @staticmethod
+    def _call(name, *args):
+        return ast.Call(ast.Name(name, ast.Load()), list(args), [])
+
+    def _join(self, left, right, stop, join):
+        """`left` where `stop(left)` holds, else `join(left, right)`."""
+        name = next(self._names)
+        held = ast.NamedExpr(ast.Name(name, ast.Store()), left)
+        return ast.IfExp(
+            self._call(stop, held),
+            ast.Name(name, ast.Load()),
+            self._call(join, ast.Name(name, ast.Load()), right),
+        )
+
+    def visit_BoolOp(self, node):
+        stop, join = ("_stop_and", "_and") if isinstance(node.op, ast.And) else ("_stop_or", "_or")
+        values = [self.visit(v) for v in node.values]
+        result = values[0]
+        for value in values[1:]:
+            result = self._join(result, value, stop, join)
+        return result
+
+    def visit_UnaryOp(self, node):
+        return self._call(self._CALLS[type(node.op)], self.visit(node.operand))
+
+    def visit_BinOp(self, node):
+        return self._call(
+            self._CALLS[type(node.op)], self.visit(node.left), self.visit(node.right)
+        )
+
+    def visit_Compare(self, node):
+        left = self.visit(node.left)
+        result = None
+        last = len(node.ops) - 1
+        for i, (op, comparator) in enumerate(zip(node.ops, node.comparators)):
+            right = self.visit(comparator)
+            if i < last:  # the next comparison reads this operand again
+                name = next(self._names)
+                right = ast.NamedExpr(ast.Name(name, ast.Store()), right)
+            test = self._call(self._CALLS[type(op)], left, right)
+            result = test if result is None else self._join(result, test, "_stop_and", "_and")
+            if i < last:
+                left = ast.Name(name, ast.Load())
+        return result
+
+
+def _integral(v) -> bool:
+    if isinstance(v, np.ndarray):
+        return v.dtype.kind in "bi"
+    return not isinstance(v, float)
+
+
+def _operand(v):
+    """v with booleans read as the integers Python computes with."""
+    if isinstance(v, np.ndarray):
+        return v.astype(np.int64) if v.dtype.kind == "b" else v
+    return int(v) if isinstance(v, bool) else v
+
+
+def _bound(v) -> int:
+    return int(np.abs(v).max()) if isinstance(v, np.ndarray) else abs(v)
+
+
+def _require_exact(*values) -> list[int]:
+    """The magnitude bounds of the integral values, all within 2**53."""
+    bounds = [_bound(v) for v in values if _integral(v)]
+    if max(bounds, default=0) > _EXACT:
+        raise InexactArrays("an integer beyond 2**53 meets an array")
+    return bounds
+
+
+def _arith(op):
+    def apply(a, b):
+        if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+            return op(a, b)
+        a, b = _operand(a), _operand(b)
+        bounds = _require_exact(a, b)
+        if len(bounds) == 2:  # integer arithmetic: its result must stay exact too
+            _require_exact(op(*bounds) if op is operator.mul else sum(bounds))
+        with np.errstate(all="ignore"):
+            return op(a, b)
+
+    return apply
+
+
+def _compare(op):
+    def apply(a, b):
+        if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+            return op(a, b)
+        a, b = _operand(a), _operand(b)
+        _require_exact(a, b)
+        return op(a, b)
+
+    return apply
+
+
+def _truth(v) -> np.ndarray:
+    return v != 0
+
+
+def _pick(cond, x, y):
+    """x where cond holds, else y; both integral or both floats, so that
+    no point's value changes type."""
+    if _integral(x) != _integral(y):
+        raise InexactArrays("and/or mixes integers and floats across points")
+    _require_exact(x, y)
+    return np.where(cond, x, y)
+
+
+def _and(a, b):
+    """a and b, where a is not false at every point."""
+    if not isinstance(a, np.ndarray):
+        return b
+    truth = _truth(a)
+    return b if truth.all() else _pick(truth, b, a)
+
+
+def _or(a, b):
+    """a or b, where a is not true at every point."""
+    if not isinstance(a, np.ndarray):
+        return b
+    truth = _truth(a)
+    return b if not truth.any() else _pick(truth, a, b)
+
+
+def _stop_and(a) -> bool:
+    return not (_truth(a).any() if isinstance(a, np.ndarray) else a)
+
+
+def _stop_or(a) -> bool:
+    return bool(_truth(a).all() if isinstance(a, np.ndarray) else a)
+
+
+_ARRAY_OPS = {
+    "_add": _arith(operator.add),
+    "_sub": _arith(operator.sub),
+    "_mul": _arith(operator.mul),
+    "_eq": _compare(operator.eq),
+    "_ne": _compare(operator.ne),
+    "_lt": _compare(operator.lt),
+    "_le": _compare(operator.le),
+    "_gt": _compare(operator.gt),
+    "_ge": _compare(operator.ge),
+    "_not": lambda a: np.logical_not(a) if isinstance(a, np.ndarray) else not a,
+    "_neg": lambda a: -_operand(a) if isinstance(a, np.ndarray) else -a,
+    "_pos": lambda a: _operand(a) if isinstance(a, np.ndarray) else +a,
+    "_and": _and,
+    "_or": _or,
+    "_stop_and": _stop_and,
+    "_stop_or": _stop_or,
+}

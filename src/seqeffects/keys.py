@@ -23,6 +23,16 @@ _TEMPLATES: dict[tuple, str] = {}
 
 
 def _template(nz: int, widths: tuple[int, ...]) -> str:
+    """The label template of a full-history key with `nz` treatments and
+    covariate vectors of these widths (cached in `_TEMPLATES`)."""
+    shape = (nz, widths)
+    template = _TEMPLATES.get(shape)
+    if template is None:
+        template = _TEMPLATES[shape] = _build_template(nz, widths)
+    return template
+
+
+def _build_template(nz: int, widths: tuple[int, ...]) -> str:
     parts = []
     pos = nz
     for i in range(nz):
@@ -32,6 +42,14 @@ def _template(nz: int, widths: tuple[int, ...]) -> str:
             parts.append(f"x{i + 1}={slots}")
             pos += widths[i]
     return " ".join(parts)
+
+
+def _markov_template(t: int, width: int) -> str:
+    """The label template of a time-t pooled key with covariate vectors of
+    `width` components: the previous treatment, the covariates, then the
+    treatment."""
+    slots = ",".join(f"{{{j}}}" for j in range(1, width + 1))
+    return f"z{t - 1}={{0}} x{t - 1}={slots} z{t}={{{width + 1}}} pooled"
 
 
 class _LabelOnce:
@@ -123,10 +141,7 @@ class StratumKey(_LabelOnce):
     def _format_label(self) -> str:
         if not self.treatments:
             return "(all)"
-        shape = (len(self.treatments), tuple(map(len, self.covariates)))
-        template = _TEMPLATES.get(shape)
-        if template is None:
-            template = _TEMPLATES[shape] = _template(*shape)
+        template = _template(len(self.treatments), tuple(map(len, self.covariates)))
         return template.format(*self.treatments, *chain.from_iterable(self.covariates))
 
     def __repr__(self) -> str:  # keeps test output readable
@@ -154,12 +169,8 @@ class MarkovKey(_LabelOnce):
             raise UsageError("treatment codes must be non-negative")
 
     def _format_label(self) -> str:
-        t = self.time
-        vec = ",".join(map(str, self.prev_covariate))
-        return (
-            f"z{t - 1}={self.prev_treatment} x{t - 1}={vec} "
-            f"z{t}={self.treatment} pooled"
-        )
+        template = _markov_template(self.time, len(self.prev_covariate))
+        return template.format(self.prev_treatment, *self.prev_covariate, self.treatment)
 
     def arm(self) -> int:
         return self.treatment

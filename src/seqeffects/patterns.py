@@ -19,6 +19,11 @@ so a parameter vector consistent with the pattern reproduces every point
 effect from net effects alone. Both fit modes take those loads from one
 backward pass over the per-period arms of `Dataset.periods`; no fit
 builds the history trie.
+
+A fit evaluates the pattern once per period: each group predicate and
+each term runs once over the columns of the period's arm rows, and gives
+every arm the row its key would get. An arm is evaluated alone, through
+its key, only where that could differ or fail (see `feature_row`).
 """
 
 from __future__ import annotations
@@ -29,11 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, PeriodArms, _PickedKeys
 from .errors import CoverageError, EstimabilityError, ParseError, PatternError
-from .exprlang import CompiledExpr, CovariateView, TreatmentView, compile_expr
+from .exprlang import _EXACT, CompiledExpr, CovariateView, TreatmentView, compile_expr
 from .keys import MarkovKey, PointEffectKey
-from .strata import VarianceMode, point_effect_targets
+from .strata import _SkippedArms, VarianceMode, point_effect_targets
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _RESERVED = frozenset({"t", "T", "z", "x", "u", "group", "term", "when", "not", "and", "or"})
@@ -74,8 +79,27 @@ class PatternSpec:
     def param_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.groups) + tuple(p.name for p in self.terms)
 
-    def feature_row(self, key: PointEffectKey, horizon: int) -> np.ndarray:
-        env = _feature_env(key, horizon)
+    def feature_row(self, point: PointEffectKey | PeriodArms, horizon: int) -> np.ndarray:
+        """The feature vector at a key, or the (arms, k) block of the
+        feature vectors of every arm of a period.
+
+        A key's row raises PatternError (CoverageError when a group-only
+        pattern matches no group). A block never raises: it evaluates
+        each predicate and term once over the period's columns
+        (`CompiledExpr.eval_arrays`), and leaves NaN in a row whose key
+        would raise, and in every row when a lookup fails, a head passes
+        2**53, or array arithmetic could differ from Python's. Each other
+        row is bit for bit its key's row. So an arm whose row is NaN is
+        evaluated through its key, which gives its row or its error.
+        """
+        if isinstance(point, PeriodArms):
+            return self._period_rows(point, horizon)
+        key = point
+        if isinstance(key, MarkovKey):
+            history = (key.prev_treatment, key.treatment), (key.prev_covariate,)
+        else:
+            history = key.treatments, key.covariates
+        env = _feature_env(key.time, horizon, isinstance(key, MarkovKey), *history)
         row = np.zeros(self.size)
         matched = not self.groups
         try:
@@ -95,6 +119,35 @@ class PatternSpec:
             raise CoverageError(f"no pattern group matches {key.label()}")
         return row
 
+    def _period_rows(self, period: PeriodArms, horizon: int) -> np.ndarray:
+        n = len(period.heads)
+        rows = np.full((n, self.size), np.nan)
+        if period.heads.max() > _EXACT:
+            return rows
+        columns = np.ascontiguousarray(period.heads.T)
+        step = 1 + period.width
+        xs = [columns[i + 1 : i + step] for i in range(0, len(columns) - 1, step)]
+        env = _feature_env(period.time, horizon, period.pooled, columns[::step], xs)
+        block = np.zeros((n, self.size))
+        unmatched = np.ones(n, dtype=bool)
+        try:
+            for i, group in enumerate(self.groups):
+                if not unmatched.any():
+                    break
+                hit = (group.predicate.eval_arrays(env) != 0) & unmatched
+                block[hit, i] = 1.0
+                unmatched &= ~hit
+            for j, term in enumerate(self.terms, start=len(self.groups)):
+                value = term.expression.eval_arrays(env)
+                block[:, j] = value if isinstance(value, np.ndarray) else float(value)
+        except (PatternError, ArithmeticError):
+            return rows
+        exact = np.isfinite(block).all(axis=1)
+        if not self.terms:
+            exact &= ~unmatched
+        rows[exact] = block[exact]
+        return rows
+
     def to_text(self) -> str:
         if self.source is not None:
             return self.source
@@ -103,9 +156,13 @@ class PatternSpec:
         return "\n".join(lines) + "\n"
 
 
-def _feature_env(key: PointEffectKey, horizon: int) -> dict:
-    t = key.time
-    if isinstance(key, MarkovKey):
+def _feature_env(t: int, horizon: int, pooled: bool, zs, xs) -> dict:
+    """The names a pattern reads at a time-t evaluation point whose
+    treatments and covariate vectors from period 1 on (from t - 1 on when
+    `pooled`) are `zs` and `xs`: numbers for a key, columns over a
+    period's arms for a block."""
+    if pooled:
+        first = t - 1
         retained = (
             f"is pooled away at this evaluation point; only "
             f"z[{t - 1}], z[{t}] and x[{t - 1}] are retained"
@@ -121,14 +178,18 @@ def _feature_env(key: PointEffectKey, horizon: int) -> dict:
                 return f"x[{s}] is not determined at a time-{t} evaluation point"
             return f"x[{s}] {retained}"
 
-        z = TreatmentView(
-            t - 1, (key.prev_treatment, key.treatment), PatternError, missing_z
-        )
-        x = CovariateView(t - 1, (key.prev_covariate,), PatternError, missing_x)
     else:
+        first = 1
         beyond = f"is not determined at a time-{t} evaluation point"
-        z = TreatmentView(1, key.treatments, PatternError, lambda s: f"z[{s}] {beyond}")
-        x = CovariateView(1, key.covariates, PatternError, lambda s: f"x[{s}] {beyond}")
+
+        def missing_z(s: int) -> str:
+            return f"z[{s}] {beyond}"
+
+        def missing_x(s: int) -> str:
+            return f"x[{s}] {beyond}"
+
+    z = TreatmentView(first, zs, PatternError, missing_z)
+    x = CovariateView(first, xs, PatternError, missing_x)
     return {"t": t, "T": horizon, "z": z, "x": x}
 
 
@@ -182,14 +243,17 @@ class ConstraintSystem:
     Row i is target i of `point_effect_targets`: its key and period,
     its (m, k) `coefficients` row, its `estimates`, `variances` and
     `weights` entry (1 / variance, or 0 with a note), and its `notes`
-    entry (None for a usable row). `rows` and `dropped` index the rows
-    with positive and zero weight, in target order. `features` holds
-    every feature row evaluated to build the system.
+    entry (None for a usable row). `keys` and `skipped` build a key only
+    when read; `keys.labels()` and `skipped.labels()` format the labels
+    without one. `rows` and `dropped` index the rows with positive and
+    zero weight, in target order. `features` holds one (arms, k) feature
+    block per period (`PatternSpec.feature_row`); every target arm's row
+    in it is exact, other arms' rows may be NaN.
     """
 
     pattern: PatternSpec
     horizon: int
-    keys: list[PointEffectKey]
+    keys: _PickedKeys
     times: list[int]
     coefficients: np.ndarray
     estimates: np.ndarray
@@ -198,9 +262,9 @@ class ConstraintSystem:
     notes: list[str | None]
     rows: np.ndarray
     dropped: np.ndarray
-    skipped: list[tuple[PointEffectKey, str]]
+    skipped: _SkippedArms
     markov: bool
-    features: dict[PointEffectKey, np.ndarray]
+    features: list[np.ndarray]
 
 
 def build_constraints(
@@ -215,28 +279,36 @@ def build_constraints(
     zero and a note, so reports can list what the fit left out.
     """
     targets, skipped = point_effect_targets(d, markov=markov)
+    periods = d.periods(markov)
     horizon = d.horizon
-    cache: dict[PointEffectKey, np.ndarray] = {}
+    features = [spec.feature_row(period, horizon) for period in periods]
 
-    def feature(key: PointEffectKey) -> np.ndarray:
-        row = cache.get(key)
-        if row is None:
+    def rows(t: int, index: np.ndarray) -> np.ndarray:
+        """Period t's block, made exact at arms `index`, in arm order."""
+        block, period = features[t - 1], periods[t - 1]
+        for g in index[np.isnan(block[index, 0])].tolist():
             try:
-                row = cache[key] = spec.feature_row(key, horizon)
+                block[g] = spec.feature_row(period.keys[g], horizon)
             except CoverageError:
                 # Only downstream loads ask for arms that are not targets.
-                if key not in {k for k, _ in skipped}:
+                if period.control[g] >= 0:
                     raise
-                raise _unidentified(key, skipped) from None
-        return row
+                raise _unidentified(period.keys[g], skipped) from None
+        return block
 
+    times = [target.time for target in targets]
+    arms = np.array([target.arm for target in targets], dtype=np.intp)
+    controls = np.array([target.control for target in targets], dtype=np.intp)
     coefficients = np.zeros((len(targets), spec.size))
     # Overflowing loads fail once, in the fit's matrix check, not as warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        loads = _downstream_loads(d.periods(markov), feature, spec.size)
-        for i, target in enumerate(targets):
-            load = loads[target.time - 1]
-            coefficients[i] = feature(target.key) + load[target.arm] - load[target.control]
+        loads = _downstream_loads(periods, rows, spec.size)
+        # Targets run by period, so each period's are one slice.
+        bounds = np.searchsorted(times, np.arange(1, len(periods) + 2))
+        for t in range(1, len(periods) + 1):
+            at = slice(bounds[t - 1], bounds[t])
+            arm, load = arms[at], loads[t - 1]
+            coefficients[at] = rows(t, arm)[arm] + load[arm] - load[controls[at]]
     variances = np.array([t.variance(variance_mode) for t in targets])
     usable = np.isfinite(variances) & (variances > 0.0)
     weights = np.zeros(len(targets))
@@ -250,8 +322,8 @@ def build_constraints(
     return ConstraintSystem(
         spec,
         horizon,
-        [t.key for t in targets],
-        [t.time for t in targets],
+        _PickedKeys([periods[t - 1] for t in times], arms.tolist()),
+        times,
         coefficients,
         np.array([t.estimate for t in targets]),
         variances,
@@ -261,22 +333,22 @@ def build_constraints(
         np.flatnonzero(~usable),
         skipped,
         markov,
-        cache,
+        features,
     )
 
 
-def _unidentified(key: PointEffectKey, skipped) -> EstimabilityError:
-    labels = [k.label() for k, _ in skipped]
-    more = f" and {len(labels) - 5} more" if len(labels) > 5 else ""
+def _unidentified(key: PointEffectKey, skipped: _SkippedArms) -> EstimabilityError:
+    labels = [k.label() for k, _ in skipped[:5]]
+    more = f" and {len(skipped) - 5} more" if len(skipped) > 5 else ""
     return EstimabilityError(
         f"the net effect at {key.label()} is not identified: its control arm "
         "is unobserved and no pattern group pools it with identified targets, "
         "yet upstream targets need it as a downstream load; arms without a "
-        f"control: {'; '.join(labels[:5])}{more}"
+        f"control: {'; '.join(labels)}{more}"
     )
 
 
-def _downstream_loads(periods, feature, k: int) -> list[np.ndarray]:
+def _downstream_loads(periods, rows, k: int) -> list[np.ndarray]:
     """Mean downstream feature load of every target arm and control.
 
     A record's load past period t is the sum of the feature rows of its
@@ -284,14 +356,15 @@ def _downstream_loads(periods, feature, k: int) -> list[np.ndarray]:
     its records. Returns one (arms, k) array per period, indexed like the
     period's arms; only the rows of target arms and their controls are
     filled, the others are NaN. One backward pass over the periods builds
-    them all, evaluating the pattern once per active arm, and only at
-    arms holding a record that a target arm or control of an earlier
-    period holds: no other load reads them.
+    them all. `rows(t, index)` gives period t's (arms, k) feature block,
+    exact at the arms `index`; the pass asks, from the last period down,
+    only for active arms holding a record that a target arm or control of
+    an earlier period holds: no other load reads them.
     """
     covered = np.zeros(periods[0].codes.size, dtype=bool)
     needed, reached = [], []
     for period in periods:
-        reached.append(np.bincount(period.codes[covered], minlength=len(period.keys)) > 0)
+        reached.append(np.bincount(period.codes[covered], minlength=len(period.arms)) > 0)
         need = (period.arms > 0) & (period.control >= 0)
         need[period.control[need]] = True
         needed.append(need)
@@ -300,7 +373,7 @@ def _downstream_loads(periods, feature, k: int) -> list[np.ndarray]:
     loads = [None] * len(periods)
     for t in range(len(periods), 0, -1):
         period = periods[t - 1]
-        n_arm = len(period.keys)
+        n_arm = len(period.arms)
         total = np.column_stack(
             [np.bincount(period.codes, load[:, j], n_arm) for j in range(k)]
         )
@@ -308,10 +381,10 @@ def _downstream_loads(periods, feature, k: int) -> list[np.ndarray]:
         mean[~needed[t - 1]] = np.nan
         loads[t - 1] = mean
         if t > 1:
-            rows = np.zeros((n_arm, k))
-            for g in np.flatnonzero(reached[t - 1] & (period.arms > 0)):
-                rows[g] = feature(period.keys[g])
-            load += rows[period.codes]
+            active = np.flatnonzero(reached[t - 1] & (period.arms > 0))
+            picked = np.zeros((n_arm, k))
+            picked[active] = rows(t, active)[active]
+            load += picked[period.codes]
     return loads
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, PeriodArms
+from .dataset import Dataset, PeriodArms, _PickedKeys
 from .errors import EstimabilityError, UsageError
 from .keys import PointEffectKey
 
@@ -66,6 +66,12 @@ class VarianceMode:
         return "estimated" if self.kind == "estimated" else f"known:{self.sigma2!r}"
 
 
+def _mean(values: np.ndarray) -> float:
+    """`float(values.mean())`, which is this sum over the count, without
+    `mean()`'s overhead per call."""
+    return float(np.add.reduce(values) / values.size)
+
+
 def _mean_variance(values: np.ndarray, mode: VarianceMode) -> float:
     n = values.size
     if mode.kind == "known":
@@ -77,7 +83,7 @@ def _mean_variance(values: np.ndarray, mode: VarianceMode) -> float:
     if values.min() == values.max():
         # The mean of equal values can round away from them.
         return 0.0
-    mean = float(values.mean())
+    mean = _mean(values)
     return float(((values - mean) ** 2).sum()) / (n * (n - 1))
 
 
@@ -90,14 +96,21 @@ class PointEffectTarget:
 
     `arm` and `control` index the arms of `period`, the layout the
     target was enumerated from, so callers can compute either variance
-    mode or locate the records without re-slicing.
+    mode or locate the records without re-slicing. `key` is the arm's
+    key, built when read.
     """
 
-    key: PointEffectKey
-    time: int
     period: PeriodArms
     arm: int
     control: int
+
+    @property
+    def key(self) -> PointEffectKey:
+        return self.period.keys[self.arm]
+
+    @property
+    def time(self) -> int:
+        return self.period.time
 
     @property
     def arm_values(self) -> np.ndarray:
@@ -117,7 +130,7 @@ class PointEffectTarget:
 
     @property
     def estimate(self) -> float:
-        return float(self.arm_values.mean()) - float(self.control_values.mean())
+        return _mean(self.arm_values) - _mean(self.control_values)
 
     def variance(self, mode: VarianceMode) -> float:
         """var{arm mean} + var{control mean}; inf when not estimable."""
@@ -129,9 +142,23 @@ class PointEffectTarget:
         return va + vc
 
 
+class _SkippedArms(_PickedKeys):
+    """The active arms without a control arm, as a read-only sequence of
+    (key, reason) pairs; a key is built when read, and `labels()` gives
+    the keys' labels without building them."""
+
+    __slots__ = ()
+    reason = "control arm unobserved"
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return super().__getitem__(i)
+        return super().__getitem__(i), self.reason
+
+
 def point_effect_targets(
     d: Dataset, markov: bool = False
-) -> tuple[list[PointEffectTarget], list[tuple[PointEffectKey, str]]]:
+) -> tuple[list[PointEffectTarget], _SkippedArms]:
     """Enumerate treatment contrasts, full-history or collapsed.
 
     Returns (targets, skipped) where skipped pairs an active-arm key with
@@ -140,12 +167,16 @@ def point_effect_targets(
     arrays are views of the period's outcomes.
     """
     targets: list[PointEffectTarget] = []
-    skipped: list[tuple[PointEffectKey, str]] = []
-    for t, period in enumerate(d.periods(markov), start=1):
-        for g in np.flatnonzero(period.arms).tolist():
-            c = int(period.control[g])
-            if c < 0:
-                skipped.append((period.keys[g], "control arm unobserved"))
-            else:
-                targets.append(PointEffectTarget(period.keys[g], t, period, g, c))
-    return targets, skipped
+    skipped_periods: list[PeriodArms] = []
+    skipped_arms: list[int] = []
+    for period in d.periods(markov):
+        active = np.flatnonzero(period.arms)
+        control = period.control[active]
+        lone = control < 0
+        skipped_arms += active[lone].tolist()
+        skipped_periods += [period] * int(lone.sum())
+        targets += [
+            PointEffectTarget(period, g, c)
+            for g, c in zip(active[~lone].tolist(), control[~lone].tolist())
+        ]
+    return targets, _SkippedArms(skipped_periods, skipped_arms)

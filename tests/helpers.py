@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from seqeffects import (
+    CoverageError,
     Dataset,
     DomainError,
     EstimabilityError,
@@ -34,7 +35,7 @@ from seqeffects import (
 )
 from seqeffects.dataset import _parse_header
 from seqeffects.estimation import FlaggedPair
-from seqeffects.patterns import _downstream_loads
+from seqeffects.patterns import _downstream_loads, _unidentified
 from seqeffects.simulator import (
     _assignment_prob,
     _history_arrays,
@@ -349,25 +350,49 @@ def filled_load_rows(loads):
     }
 
 
+def key_rows(period, index, feature, k):
+    """An (arms, k) block of `period` holding, in arm order, the feature
+    rows `feature(key)` of the arms `index`, one key at a time; the other
+    rows are NaN. This is the per-key feature loop that the period
+    evaluation replaced."""
+    block = np.full((len(period.arms), k), np.nan)
+    for g in np.asarray(index).tolist():
+        block[g] = feature(period.keys[g])
+    return block
+
+
 def constraint_rows_reference(spec, d, variance_mode, markov=False):
     """Constraint rows one target at a time, as `build_constraints` once
     built them: a (key, time, coefficients, estimate, variance, weight,
-    note) tuple per target, in target order. The coefficients are the
-    target's feature row plus its arm's downstream load minus its
-    control's; the weight is 1 / variance, or 0 with a note when the
-    variance is not finite and positive. For patterns that cover every
-    key the loads ask for."""
-    targets, _ = point_effect_targets(d, markov=markov)
+    note) tuple per target, in target order. Feature rows come one key at
+    a time, in the order the fit asks for them, each key once; a skipped
+    arm no group covers raises `build_constraints`'s EstimabilityError.
+    The coefficients are the target's feature row plus its arm's
+    downstream load minus its control's; the weight is 1 / variance, or 0
+    with a note when the variance is not finite and positive. Returns the
+    rows and the features evaluated, by key."""
+    targets, skipped = point_effect_targets(d, markov=markov)
+    skipped_keys = {key for key, _ in skipped}
     features = {}
 
     def feature(key):
         if key not in features:
-            features[key] = spec.feature_row(key, d.horizon)
+            try:
+                features[key] = spec.feature_row(key, d.horizon)
+            except CoverageError:
+                if key not in skipped_keys:
+                    raise
+                raise _unidentified(key, skipped) from None
         return features[key]
 
+    periods = d.periods(markov)
     rows = []
     with np.errstate(over="ignore", invalid="ignore"):
-        loads = _downstream_loads(d.periods(markov), feature, spec.size)
+        loads = _downstream_loads(
+            periods,
+            lambda t, index: key_rows(periods[t - 1], index, feature, spec.size),
+            spec.size,
+        )
         for target in targets:
             load = loads[target.time - 1]
             coeff = feature(target.key) + load[target.arm] - load[target.control]
@@ -383,7 +408,7 @@ def constraint_rows_reference(spec, d, variance_mode, markov=False):
             rows.append(
                 (target.key, target.time, coeff, target.estimate, variance, weight, note)
             )
-    return rows
+    return rows, features
 
 
 def constant_arm_panel(value, seed=5):

@@ -4,10 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import seqeffects
-from seqeffects import make_markov_dgp, make_reference_fixture, save_dataset, simulate
+from helpers import constant_arm_panel
+from seqeffects import Dataset, make_markov_dgp, make_reference_fixture, save_dataset, simulate
 from seqeffects.cli import main
 
 THREE_GROUPS = """\
@@ -410,6 +412,43 @@ def test_suggest_pattern_names_unidentified_strata(tmp_path, capsys):
     assert "is not identified" in err
     assert "control arm is unobserved" in err
     assert "no pattern group matches" not in err
+
+
+def _one_record_arm_panel():
+    """The constant-arm panel's design with every stratum's arms spread
+    out, except arm z1=1 x1=1 z2=1, which keeps one record."""
+    d = constant_arm_panel(0.3)
+    y = d.y.copy()
+    y[:3] += np.arange(3) * 0.1
+    keep = np.ones(d.n_records, dtype=bool)
+    keep[np.flatnonzero((d.z == (1, 1)).all(axis=1) & (d.x[:, 0, 0] == 1))[1:]] = False
+    return Dataset(d.z[keep], d.x[keep], y[keep], [f"u{i}" for i in range(keep.sum())])
+
+
+@pytest.mark.parametrize(
+    "panel, why",
+    [
+        (constant_arm_panel(0.3), "z1=0 x1=0 z2=1: zero variance estimate"),
+        (
+            _one_record_arm_panel(),
+            "z1=1 x1=1 z2=1: variance not estimable (each arm needs at least 2 records)",
+        ),
+    ],
+)
+def test_suggest_pattern_names_the_targets_its_default_pattern_drops(
+    tmp_path, capsys, panel, why
+):
+    path = tmp_path / "panel.csv"
+    save_dataset(panel, path)
+    argv = ["suggest-pattern", "--data", str(path), "--variance-mode", "estimated"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: 1 of 5 targets have zero weight, and the default pattern (one group "
+        f"per target) needs them all: {why}; pass --pattern with a pattern that "
+        "pools them, or --variance-mode known:<sigma2>\n"
+    )
+    assert main([*argv[:3], "--variance-mode", "known:1", "--out", str(tmp_path / "s.json")]) == 0
 
 
 def test_usage_errors_exit_one():

@@ -390,12 +390,15 @@ SINGLETON_ARMS = Dataset(
 def test_constraint_arrays_match_the_per_target_loop(d, markov, mode, pattern):
     spec = parse_pattern(pattern)
     system = build_constraints(spec, d, mode, markov=markov)
-    rows = constraint_rows_reference(spec, d, mode, markov=markov)
+    rows, features = constraint_rows_reference(spec, d, mode, markov=markov)
     m = len(rows)
     keys, times, coefficients, estimates, variances, weights, notes = (
         [list(column) for column in zip(*rows)] if rows else [[]] * 7
     )
     assert system.keys == keys
+    assert system.keys.labels() == [key.label() for key in keys]
+    for key, period, arm in zip(keys, system.keys.periods, system.keys.arms):
+        assert system.features[period.time - 1][arm].tobytes() == features[key].tobytes()
     assert system.times == times
     assert all(type(t) is int for t in system.times)
     assert system.notes == notes

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from seqeffects import PatternError
-from seqeffects.exprlang import CovariateView, TreatmentView, compile_expr
+from seqeffects.exprlang import CovariateView, InexactArrays, TreatmentView, compile_expr
 
 
 def env(z=(), x=(), **scalars):
@@ -127,3 +128,56 @@ def test_empty_and_malformed_sources():
         compile_expr("")
     with pytest.raises(PatternError):
         compile_expr("t +")
+
+
+def column_env(z, x, **scalars):
+    """env over points: z a list of per-point treatment tuples, x of
+    per-point covariate vector tuples; views hold one column per position."""
+    zs = np.array(z).T
+    xs = np.array(x).transpose(1, 2, 0) if x else []
+    e = dict(scalars)
+    e["z"] = TreatmentView(1, zs, PatternError, lambda s: f"z[{s}] is not determined here")
+    e["x"] = CovariateView(1, xs, PatternError, lambda s: f"x[{s}] is not determined here")
+    return e
+
+
+POINTS_Z = [(0, 0), (1, 0), (2, 1), (1, 2)]
+POINTS_X = [((0, 3),), ((1, 0),), ((1, 1),), ((0, 2),)]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "z[1] and x[1][2]",
+        "z[2] or 2",
+        "not z[1] or x[1][1] == 1",
+        "0 < z[1] <= x[1][2] < 3",
+        "z[1] * 1.5 - x[1][2] * z[2]",
+        "-z[1] * 0.0",
+        "(z[1] == 1) + (z[2] == 1) * 2",
+        "t == 2 and z[2] == 1",
+        "t == 1 and z[2] == 1",
+        "z[0] + x[0][5]",
+    ],
+)
+def test_array_evaluation_gives_each_point_its_value(text):
+    expr = compile_expr(text)
+    value = expr.eval_arrays(column_env(POINTS_Z, POINTS_X, t=2, T=2))
+    for i, (z, x) in enumerate(zip(POINTS_Z, POINTS_X)):
+        want = expr.eval_number(env(z, x, t=2, T=2))
+        got = float(value[i] if isinstance(value, np.ndarray) else value)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (text, i)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "z[1] == 1 and 2.5",  # an int at some points, a float at others
+        "z[1] * 3037000500 * 3037000500",  # beyond 2**53
+        "z[1] == 9007199254740993",
+        "z[z[1] + 1]",  # a position that differs between points
+    ],
+)
+def test_array_evaluation_refuses_what_it_cannot_do_exactly(text):
+    with pytest.raises((InexactArrays, PatternError)):
+        compile_expr(text).eval_arrays(column_env(POINTS_Z, POINTS_X, t=2, T=2))

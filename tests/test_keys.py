@@ -199,5 +199,6 @@ def test_period_keys_match_the_eager_builder(d, markov, data):
     assert keys[1:] == tuple(want[t][1:])
     for period, w in zip(periods, want):
         assert list(period.keys) == w
+        assert period.labels(range(len(w))) == [key.label() for key in w]
     with pytest.raises(IndexError):
         keys[len(keys)]

@@ -17,6 +17,7 @@ from helpers import (
     filled_load_rows,
     full_targets_reference,
     history_order,
+    key_rows,
     prefix_mask,
     random_panel,
 )
@@ -39,6 +40,7 @@ def test_full_targets_match_the_trie(d):
     targets, skipped = point_effect_targets(d)
     want, want_skipped = full_targets_reference(d)
     assert skipped == want_skipped
+    assert skipped.labels() == [key.label() for key, _ in want_skipped]
     assert [(t.key, t.time) for t in targets] == [(w[0], w[1]) for w in want]
     for got, (_, _, arm, control) in zip(targets, want):
         assert np.array_equal(got.arm_values, arm)
@@ -70,7 +72,9 @@ def test_full_loads_match_the_subtree_walk(d, size, seed):
         return values[key]
 
     periods = d.periods(False)
-    loads = _downstream_loads(periods, value, size)
+    loads = _downstream_loads(
+        periods, lambda t, index: key_rows(periods[t - 1], index, value, size), size
+    )
     targets, _ = point_effect_targets(d)
     # loads are indexed by (period, arm); only target arms and controls are filled
     needed = {(t.time, g) for t in targets for g in (t.arm, t.control)}

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import filled_load_rows, random_panel
+from helpers import filled_load_rows, key_rows, random_panel
 from seqeffects import (
     Dataset,
     EstimabilityError,
@@ -145,8 +145,11 @@ def side_sums(d, spec):
     """Loads of every pooled target arm and control by key, read off their
     (period, arm) index, and those keys."""
     periods = d.periods(markov=True)
+    def feature(key):
+        return spec.feature_row(key, d.horizon)
+
     loads = _downstream_loads(
-        periods, lambda key: spec.feature_row(key, d.horizon), spec.size
+        periods, lambda t, index: key_rows(periods[t - 1], index, feature, spec.size), spec.size
     )
     targets, _ = point_effect_targets(d, markov=True)
     needed = {(t.time, g) for t in targets for g in (t.arm, t.control)}
