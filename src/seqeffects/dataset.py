@@ -109,21 +109,21 @@ class _PickedKeys(Sequence):
 
     def labels(self) -> list[str]:
         """`[key.label() for key in self]`, formatted a period at a time."""
-        return [label for period, arms in self._runs() for label in period.labels(arms)]
+        return [s for period, at in self._runs() for s in period.labels(self.arms[at])]
 
     def rows(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
         """Row `arms[i]` of the block of period i's time, for each item:
         `blocks` holds one (arms, k) array per period."""
-        parts = [blocks[period.time - 1][arms] for period, arms in self._runs()]
+        parts = [blocks[period.time - 1][self.arms[at]] for period, at in self._runs()]
         return np.concatenate(parts) if parts else np.empty((0, blocks[0].shape[1]))
 
     def _runs(self):
-        """(period, arms) for each run of items from one period."""
+        """(period, slice of the items) for each run of items from one period."""
         periods = self.periods
         cuts = [i for i in range(1, len(periods)) if periods[i] is not periods[i - 1]]
         for lo, hi in zip([0, *cuts], [*cuts, len(periods)]):
             if hi > lo:
-                yield periods[lo], self.arms[lo:hi]
+                yield periods[lo], slice(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,8 @@ class PeriodArms:
     """One period's treatment arms, sorted by key, as arrays over the
     records: record i is in arm `codes[i]`, and arm g holds the outcomes
     `outcomes[bounds[g]:bounds[g + 1]]`, takes treatment `arms[g]`, and
-    has its stratum's control arm at `control[g]` (-1 when unobserved).
+    has its stratum's control arm at `control[g]` (-1 when unobserved);
+    it holds `counts[g]` records, whose mean outcome is `means[g]`.
 
     Arm g's key is the row `heads[g]`: the treatments and covariate
     vectors z[first], x[first], ..., x[time - 1], z[time] interleaved,
@@ -176,6 +177,19 @@ class PeriodArms:
 
     def values(self, g: int) -> np.ndarray:
         return self.outcomes[self.bounds[g] : self.bounds[g + 1]]
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        return np.diff(self.bounds)
+
+    @cached_property
+    def means(self) -> np.ndarray:
+        """Each arm's sum over its count, which is the bits of
+        `values(g).mean()` without `mean()`'s overhead per arm."""
+        sums = self.outcomes[self.bounds[:-1]]  # a one-record arm's sum is its record
+        for g in np.flatnonzero(self.counts > 1).tolist():
+            sums[g] = np.add.reduce(self.values(g))
+        return sums / self.counts
 
 
 def _period_arms(order, cols, outcomes, time, pooled, width) -> PeriodArms:

@@ -32,7 +32,7 @@ from .errors import (
 from .exprlang import compile_expr
 from .keys import PointEffectKey
 from .patterns import ConstraintSystem, PatternGroup, PatternSpec, build_constraints
-from .strata import VarianceMode, _mean_variance, point_effect_targets
+from .strata import VarianceMode, _Targets, point_effect_targets
 
 log = logging.getLogger(__name__)
 
@@ -119,7 +119,7 @@ class NetEffectFit:
         system = self.system
         keys, skipped = system.keys, system.skipped
         periods = [*keys.periods, *skipped.periods]
-        arms = [*keys.arms, *skipped.arms]
+        arms = [*keys.arms.tolist(), *skipped.arms]
         times = [period.time for period in periods]
         observed = system.estimates.tolist() + [None] * len(skipped)
         notes = system.notes + [skipped.reason] * len(skipped)
@@ -239,17 +239,22 @@ def fit_net_effects(
     if not rows.size:
         raise EstimabilityError("no targets with a positive weight; nothing to fit")
     C = system.coefficients[rows]
-    bad = np.argwhere(~np.isfinite(C))
-    if bad.size:
-        i, j = bad[0]
-        raise PatternError(
-            f"target {system.keys[rows[i]].label()}: the coefficient of parameter "
-            f"{spec.param_names[j]!r} is not finite ({float(C[i, j])!r}): its "
-            "feature row and downstream loads overflow when summed"
-        )
     b = system.estimates[rows]
     sqrt_w = np.sqrt(system.weights[rows])
-    A = C * sqrt_w[:, None]
+    # An overflowing design fails here, once, not as warnings and a failed SVD.
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = C * sqrt_w[:, None]
+    for M, what, why in (
+        (C, "coefficient", "its feature row and downstream loads overflow when summed"),
+        (A, "weighted coefficient", "the target's weight makes it overflow"),
+    ):
+        bad = np.argwhere(~np.isfinite(M))
+        if bad.size:
+            i, j = bad[0]
+            raise PatternError(
+                f"target {system.keys[rows[i]].label()}: the {what} of parameter "
+                f"{spec.param_names[j]!r} is not finite ({float(M[i, j])!r}): {why}"
+            )
     U, S, Vt = np.linalg.svd(A, full_matrices=False)
     rank = int(np.sum(S > _RANK_RTOL * S[0]))
     k = spec.size
@@ -322,22 +327,19 @@ def net_effect_null_test(d: Dataset, variance_mode: VarianceMode) -> TestResult:
     effects do, which is the hypothesis of interest.
     """
     targets, _ = point_effect_targets(d)
-    blocks: dict[tuple[int, int], list] = {}
-    for target in targets:
-        var = target.variance(variance_mode)
-        if math.isfinite(var) and var > 0.0:
-            blocks.setdefault((target.time, target.control), []).append((target, var))
+    arm_var, control_var = targets.mean_variances(variance_mode)
+    var = arm_var + control_var
+    estimates = targets.estimates()
     q = 0.0
     m = 0
-    for block in blocks.values():
+    for block in targets.blocks(np.flatnonzero(np.isfinite(var) & (var > 0.0))):
         if len(block) == 1:
-            target, var = block[0]
-            q += target.estimate**2 / var
+            # Python floats: a scalar pow can round unlike an array square
+            q += float(estimates[block[0]]) ** 2 / float(var[block[0]])
             m += 1
             continue
-        arms = [_mean_variance(t.arm_values, variance_mode) for t, _ in block]
-        cov = np.diag(arms) + _mean_variance(block[0][0].control_values, variance_mode)
-        e = np.array([t.estimate for t, _ in block])
+        cov = np.diag(arm_var[block]) + control_var[block[0]]
+        e = estimates[block]
         q += float(e @ np.linalg.pinv(cov, hermitian=True) @ e)
         m += int(np.linalg.matrix_rank(cov, hermitian=True))
     if m == 0:
@@ -471,28 +473,20 @@ class ResamplingReport:
         return json.dumps(self.to_dict(), default=np.ndarray.tolist, **kwargs)
 
 
-def _cell_means(d: Dataset) -> tuple[PeriodArms, list[float]]:
-    """The full-history cells, which are the period-T arms, and their means."""
-    cells = d.periods(False)[-1]
-    segs = map(cells.values, range(len(cells.keys)))
-    return cells, [float(seg.sum()) / seg.size for seg in segs]
-
-
 def pooled_outcome_variance(d: Dataset) -> float:
-    """Within-cell outcome variance pooled over the full-history cells."""
-    cells, means = _cell_means(d)
-    n = d.n_records
-    if n <= len(means):
-        raise EstimabilityError(
-            "pooled variance needs more records than occupied cells"
-        )
+    """Within-cell outcome variance pooled over the full-history cells,
+    which are the period-T arms."""
+    cells = d.periods(False)[-1]
+    n, k = d.n_records, len(cells.arms)
+    if n <= k:
+        raise EstimabilityError("pooled variance needs more records than occupied cells")
     ssw = 0.0
-    for g, mean in enumerate(means):
+    for g, mean in enumerate(cells.means.tolist()):
         ssw += float(np.sum((cells.values(g) - mean) ** 2))
-    return ssw / (n - len(means))
+    return ssw / (n - k)
 
 
-def expected_target_covariance(d: Dataset, sigma2: float = 1.0) -> tuple[list, np.ndarray]:
+def expected_target_covariance(d: Dataset, sigma2: float = 1.0) -> tuple[_Targets, np.ndarray]:
     """Model-implied covariance of the target estimates.
 
     Distinct targets are uncorrelated unless they contrast different
@@ -510,15 +504,11 @@ def expected_target_covariance(d: Dataset, sigma2: float = 1.0) -> tuple[list, n
             "and their report take about %d bytes",
             m, m, m, dense,
         )
-    blocks: dict[tuple[int, int], list[int]] = {}
-    for i, t in enumerate(targets):
-        blocks.setdefault((t.time, t.control), []).append(i)
+    arm_counts, control_counts = targets.counts()
     cov = np.zeros((m, m))
-    for members in blocks.values():
-        if len(members) > 1:
-            cov[np.ix_(members, members)] = sigma2 / targets[members[0]].control_count
-    arm_counts = np.array([t.arm_count for t in targets], dtype=float)
-    control_counts = np.array([t.control_count for t in targets], dtype=float)
+    for block in targets.blocks(np.arange(m)):
+        if len(block) > 1:
+            cov[np.ix_(block, block)] = sigma2 / control_counts[block[0]]
     cov[np.diag_indices(m)] = sigma2 * (1.0 / arm_counts + 1.0 / control_counts)
     return targets, cov
 
@@ -543,7 +533,7 @@ def resampling_diagnostic(
     if seed < 0:
         raise UsageError(f"seed must be at least 0, not {seed}")
     targets, expected = expected_target_covariance(d, sigma2)
-    labels = [t.key.label() for t in targets]
+    labels = targets.labels()
     notes: list[str] = []
     if reps == 0:
         notes.append("no replications requested; nothing was checked")
@@ -558,18 +548,14 @@ def resampling_diagnostic(
         notes.append(f"{reps} replications is noisy; flags may be spurious")
         log.warning("resampling diagnostic with %d replications is noisy", reps)
     n = d.n_records
-    cells, means = _cell_means(d)
-    mu = np.repeat(means, np.diff(cells.bounds))
+    cells = d.periods(False)[-1]
+    mu = np.repeat(cells.means, cells.counts)
     sigma = math.sqrt(sigma2)
-    # One column per distinct arm or control span; controls are shared.
-    # All full-history periods share one record order, that of mu.
-    spans: dict[tuple[int, int], int] = {}
-
-    def column(bounds: np.ndarray, g: int) -> int:
-        return spans.setdefault((int(bounds[g]), int(bounds[g + 1])), len(spans))
-
-    arm_cols = np.array([column(t.period.bounds, t.arm) for t in targets])
-    control_cols = np.array([column(t.period.bounds, t.control) for t in targets])
+    # One column per distinct arm or control span of records; controls are
+    # shared. All full-history periods share one record order, that of mu.
+    pairs = targets.pick(lambda p, g: np.column_stack([p.bounds[g], p.bounds[g + 1]]))
+    spans, cols = np.unique(np.concatenate(pairs), axis=0, return_inverse=True)
+    arm_cols, control_cols = np.split(cols.ravel(), 2)
     est = np.empty((reps, len(targets)))
     rows = min(reps, max(1, _RESAMPLE_BLOCK_BYTES // (8 * n)))
     buffer = np.empty((rows, n))
@@ -584,8 +570,8 @@ def resampling_diagnostic(
         # A row-wise mean over a C-ordered block sums each row pairwise,
         # exactly as the mean of that row's 1-D slice does.
         means = np.empty((len(block), len(spans)))
-        for (lo, hi), c in spans.items():
-            means[:, c] = y[:, lo:hi].mean(axis=1)
+        for c, (start, stop) in enumerate(spans.tolist()):
+            means[:, c] = y[:, start:stop].mean(axis=1)
         est[block.start : block.stop] = means[:, arm_cols] - means[:, control_cols]
     empirical = np.cov(est, rowvar=False).reshape(len(targets), len(targets))
     flagged_var = []

@@ -34,11 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, PeriodArms, _PickedKeys
+from .dataset import Dataset, PeriodArms
 from .errors import CoverageError, EstimabilityError, ParseError, PatternError
 from .exprlang import _EXACT, CompiledExpr, CovariateView, TreatmentView, compile_expr
 from .keys import MarkovKey, PointEffectKey
-from .strata import _SkippedArms, VarianceMode, point_effect_targets
+from .strata import _SkippedArms, _Targets, VarianceMode, point_effect_targets
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _RESERVED = frozenset({"t", "T", "z", "x", "u", "group", "term", "when", "not", "and", "or"})
@@ -240,10 +240,10 @@ def parse_pattern(source: str) -> PatternSpec:
 class ConstraintSystem:
     """One weighted linear equation per target, held as arrays.
 
-    Row i is target i of `point_effect_targets`: its key and period,
-    its (m, k) `coefficients` row, its `estimates`, `variances` and
-    `weights` entry (1 / variance, or 0 with a note), and its `notes`
-    entry (None for a usable row). `keys` and `skipped` build a key only
+    Row i is target i of `point_effect_targets`, which `keys` holds: its
+    key and period, its (m, k) `coefficients` row, its `estimates`,
+    `variances` and `weights` entry (1 / variance, or 0 with a note), and
+    its `notes` entry (None for a usable row). `keys` and `skipped` build a key only
     when read; `keys.labels()` and `skipped.labels()` format the labels
     without one. `rows` and `dropped` index the rows with positive and
     zero weight, in target order. `features` holds one (arms, k) feature
@@ -253,7 +253,7 @@ class ConstraintSystem:
 
     pattern: PatternSpec
     horizon: int
-    keys: _PickedKeys
+    keys: _Targets
     times: list[int]
     coefficients: np.ndarray
     estimates: np.ndarray
@@ -296,9 +296,7 @@ def build_constraints(
                 raise _unidentified(period.keys[g], skipped) from None
         return block
 
-    times = [target.time for target in targets]
-    arms = np.array([target.arm for target in targets], dtype=np.intp)
-    controls = np.array([target.control for target in targets], dtype=np.intp)
+    times, arms, controls = targets.times, targets.arms, targets.controls
     coefficients = np.zeros((len(targets), spec.size))
     # Overflowing loads fail once, in the fit's matrix check, not as warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -309,7 +307,7 @@ def build_constraints(
             at = slice(bounds[t - 1], bounds[t])
             arm, load = arms[at], loads[t - 1]
             coefficients[at] = rows(t, arm)[arm] + load[arm] - load[controls[at]]
-    variances = np.array([t.variance(variance_mode) for t in targets])
+    variances = targets.variances(variance_mode)
     usable = np.isfinite(variances) & (variances > 0.0)
     weights = np.zeros(len(targets))
     weights[usable] = 1.0 / variances[usable]
@@ -322,10 +320,10 @@ def build_constraints(
     return ConstraintSystem(
         spec,
         horizon,
-        _PickedKeys([periods[t - 1] for t in times], arms.tolist()),
-        times,
+        targets,
+        times.tolist(),
         coefficients,
-        np.array([t.estimate for t in targets]),
+        targets.estimates(),
         variances,
         weights,
         notes,
@@ -396,12 +394,8 @@ def saturated_pattern(d: Dataset, markov: bool = False) -> PatternSpec:
     """
     targets, _ = point_effect_targets(d, markov=markov)
     groups = []
-    for i, target in enumerate(targets, start=1):
-        groups.append(
-            PatternGroup(
-                f"g{i}", compile_expr(_key_predicate(target.key), {"t", "T"})
-            )
-        )
+    for i, key in enumerate(targets, start=1):
+        groups.append(PatternGroup(f"g{i}", compile_expr(_key_predicate(key), {"t", "T"})))
     if not groups:
         raise PatternError("no estimable targets to saturate over")
     return PatternSpec(tuple(groups), ())

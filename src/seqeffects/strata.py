@@ -8,21 +8,22 @@ its control arm; the collapsed variant pools records over everything
 before the previous period.
 
 Targets read each period's arms off `Dataset.periods`, never the trie,
-and keep their indices there: an arm and its control are runs of records
-in the one flat layout that serves both the full-history and the pooled
-mode.
+and are held as arrays of indices there: an arm and its control are runs
+of records in the one flat layout that serves both the full-history and
+the pooled mode. Estimates, counts and mean variances are read off each
+period's per-arm arrays, one arm at a time however many targets share it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .dataset import Dataset, PeriodArms, _PickedKeys
-from .errors import EstimabilityError, UsageError
-from .keys import PointEffectKey
+from .errors import UsageError
 
 
 @dataclass(frozen=True)
@@ -66,80 +67,82 @@ class VarianceMode:
         return "estimated" if self.kind == "estimated" else f"known:{self.sigma2!r}"
 
 
-def _mean(values: np.ndarray) -> float:
-    """`float(values.mean())`, which is this sum over the count, without
-    `mean()`'s overhead per call."""
-    return float(np.add.reduce(values) / values.size)
-
-
-def _mean_variance(values: np.ndarray, mode: VarianceMode) -> float:
-    n = values.size
+def _mean_variances(period: PeriodArms, index: np.ndarray, mode: VarianceMode) -> np.ndarray:
+    """var{arm mean} of the arms `index` of `period`, inf where it is not
+    estimable; an arm listed several times is computed once."""
     if mode.kind == "known":
-        return mode.sigma2 / n
-    if n < 2:
-        raise EstimabilityError(
-            "estimated mean variance needs at least 2 records"
-        )
-    if values.min() == values.max():
-        # The mean of equal values can round away from them.
-        return 0.0
-    mean = _mean(values)
-    return float(((values - mean) ** 2).sum()) / (n * (n - 1))
+        return mode.sigma2 / period.counts[index]
+    arms, at = np.unique(index, return_inverse=True)
+    out = np.full(arms.size, math.inf)
+    for i in np.flatnonzero(period.counts[arms] >= 2).tolist():
+        values = period.values(arms[i])
+        if values.min() == values.max():
+            out[i] = 0.0  # the mean of equal values can round away from them
+        else:
+            n = values.size
+            out[i] = float(((values - period.means[arms[i]]) ** 2).sum()) / (n * (n - 1))
+    return out[at]
 
 
 # -- point-effect targets ------------------------------------------------
 
 
-@dataclass
-class PointEffectTarget:
-    """One estimable contrast: an active arm against its stratum's control.
+class _Targets(_PickedKeys):
+    """The point-effect targets, as a read-only sequence of their keys.
 
-    `arm` and `control` index the arms of `period`, the layout the
-    target was enumerated from, so callers can compute either variance
-    mode or locate the records without re-slicing. `key` is the arm's
-    key, built when read.
+    Target i contrasts active arm `arms[i]` of `periods[i]` with that
+    period's control arm `controls[i]`, at time `times[i]`; item i is the
+    arm's key, built when read. Targets run by period, then by key, so the
+    targets of one stratum, which share its control, are consecutive. The
+    methods give one entry per target, in this order.
     """
 
-    period: PeriodArms
-    arm: int
-    control: int
+    __slots__ = ("controls", "times")
 
-    @property
-    def key(self) -> PointEffectKey:
-        return self.period.keys[self.arm]
+    def __init__(self, periods, arms, controls):
+        super().__init__(periods, arms)
+        self.controls = controls
+        self.times = np.array([period.time for period in periods], dtype=np.int64)
 
-    @property
-    def time(self) -> int:
-        return self.period.time
+    def pick(self, column: Callable[[PeriodArms, np.ndarray], np.ndarray]):
+        """(each target's arm entry, its control's entry) of a per-arm
+        column: `column(period, index)` gives the entries of the arms
+        `index` of `period`, and is called once per period."""
+        arm, control = [], []
+        for period, at in self._runs():
+            both = column(period, np.concatenate([self.arms[at], self.controls[at]]))
+            arm.append(both[: at.stop - at.start])
+            control.append(both[at.stop - at.start :])
+        if not arm:
+            return np.empty(0), np.empty(0)
+        return np.concatenate(arm), np.concatenate(control)
 
-    @property
-    def arm_values(self) -> np.ndarray:
-        return self.period.values(self.arm)
+    def estimates(self) -> np.ndarray:
+        """Arm mean minus control mean."""
+        arm, control = self.pick(lambda period, g: period.means[g])
+        return arm - control
 
-    @property
-    def control_values(self) -> np.ndarray:
-        return self.period.values(self.control)
+    def counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """The record counts of the arms and of the controls."""
+        return self.pick(lambda period, g: period.counts[g])
 
-    @property
-    def arm_count(self) -> int:
-        return self.arm_values.size
+    def mean_variances(self, mode: VarianceMode) -> tuple[np.ndarray, np.ndarray]:
+        """var{arm mean} and var{control mean}; inf when not estimable."""
+        return self.pick(lambda period, g: _mean_variances(period, g, mode))
 
-    @property
-    def control_count(self) -> int:
-        return self.control_values.size
-
-    @property
-    def estimate(self) -> float:
-        return _mean(self.arm_values) - _mean(self.control_values)
-
-    def variance(self, mode: VarianceMode) -> float:
+    def variances(self, mode: VarianceMode) -> np.ndarray:
         """var{arm mean} + var{control mean}; inf when not estimable."""
-        try:
-            va = _mean_variance(self.arm_values, mode)
-            vc = _mean_variance(self.control_values, mode)
-        except EstimabilityError:
-            return math.inf
-        return va + vc
+        arm, control = self.mean_variances(mode)
+        return arm + control
+
+    def blocks(self, index: np.ndarray) -> list[np.ndarray]:
+        """The ascending target indices `index`, split into the runs of
+        targets with one period and one control arm."""
+        if not len(index):
+            return []
+        times, controls = self.times[index], self.controls[index]
+        new = (times[1:] != times[:-1]) | (controls[1:] != controls[:-1])
+        return np.split(index, np.flatnonzero(new) + 1)
 
 
 class _SkippedArms(_PickedKeys):
@@ -156,27 +159,23 @@ class _SkippedArms(_PickedKeys):
         return super().__getitem__(i), self.reason
 
 
-def point_effect_targets(
-    d: Dataset, markov: bool = False
-) -> tuple[list[PointEffectTarget], _SkippedArms]:
+def point_effect_targets(d: Dataset, markov: bool = False) -> tuple[_Targets, _SkippedArms]:
     """Enumerate treatment contrasts, full-history or collapsed.
 
     Returns (targets, skipped) where skipped pairs an active-arm key with
     the reason no contrast exists for it (its control arm is unobserved).
-    Ordering is deterministic: by period, then by key symbols. Outcome
-    arrays are views of the period's outcomes.
+    Ordering is deterministic: by period, then by key symbols.
     """
-    targets: list[PointEffectTarget] = []
-    skipped_periods: list[PeriodArms] = []
-    skipped_arms: list[int] = []
+    periods, arms, controls = [], [], []
+    skipped_periods, skipped_arms = [], []
     for period in d.periods(markov):
         active = np.flatnonzero(period.arms)
         control = period.control[active]
         lone = control < 0
         skipped_arms += active[lone].tolist()
         skipped_periods += [period] * int(lone.sum())
-        targets += [
-            PointEffectTarget(period, g, c)
-            for g, c in zip(active[~lone].tolist(), control[~lone].tolist())
-        ]
+        arms.append(active[~lone])
+        controls.append(control[~lone])
+        periods += [period] * arms[-1].size
+    targets = _Targets(periods, np.concatenate(arms), np.concatenate(controls))
     return targets, _SkippedArms(skipped_periods, skipped_arms)

@@ -10,6 +10,7 @@ import csv
 import io
 import itertools
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +295,166 @@ def full_targets_reference(d):
     return targets, skipped
 
 
+def _mean_reference(values):
+    """An arm mean as one reduction of the arm's outcomes over its count."""
+    return float(np.add.reduce(values) / values.size)
+
+
+def _mean_variance_reference(values, mode):
+    """var{arm mean} of one arm; EstimabilityError when not estimable."""
+    n = values.size
+    if mode.kind == "known":
+        return mode.sigma2 / n
+    if n < 2:
+        raise EstimabilityError("estimated mean variance needs at least 2 records")
+    if values.min() == values.max():
+        return 0.0
+    mean = _mean_reference(values)
+    return float(((values - mean) ** 2).sum()) / (n * (n - 1))
+
+
+@dataclass
+class PointEffectTarget:
+    """One target as an object: an active arm of `period` against its
+    stratum's control arm, each read and reduced on its own. This is the
+    per-target form that the library's target arrays replaced."""
+
+    period: object
+    arm: int
+    control: int
+
+    @property
+    def key(self):
+        return self.period.keys[self.arm]
+
+    @property
+    def time(self):
+        return self.period.time
+
+    @property
+    def arm_values(self):
+        return self.period.values(self.arm)
+
+    @property
+    def control_values(self):
+        return self.period.values(self.control)
+
+    @property
+    def arm_count(self):
+        return self.arm_values.size
+
+    @property
+    def control_count(self):
+        return self.control_values.size
+
+    @property
+    def estimate(self):
+        return _mean_reference(self.arm_values) - _mean_reference(self.control_values)
+
+    def mean_variances(self, mode):
+        """(var{arm mean}, var{control mean}), inf where not estimable."""
+        out = []
+        for values in (self.arm_values, self.control_values):
+            try:
+                out.append(_mean_variance_reference(values, mode))
+            except EstimabilityError:
+                out.append(math.inf)
+        return tuple(out)
+
+    def variance(self, mode):
+        """var{arm mean} + var{control mean}; inf when not estimable."""
+        try:
+            va = _mean_variance_reference(self.arm_values, mode)
+            vc = _mean_variance_reference(self.control_values, mode)
+        except EstimabilityError:
+            return math.inf
+        return va + vc
+
+
+def point_effect_targets_reference(d, markov=False):
+    """Every active arm with a control arm, as a PointEffectTarget, in
+    period and then arm order."""
+    return [
+        PointEffectTarget(period, g, int(period.control[g]))
+        for period in d.periods(markov)
+        for g in np.flatnonzero((period.arms > 0) & (period.control >= 0)).tolist()
+    ]
+
+
+def null_test_blocks_reference(d, variance_mode):
+    """The null test's (statistic, df), summed over a dict of target
+    blocks keyed by (time, control) and filled one target at a time, as
+    the library summed it before its targets were arrays."""
+    blocks = {}
+    for target in point_effect_targets_reference(d):
+        var = target.variance(variance_mode)
+        if math.isfinite(var) and var > 0.0:
+            blocks.setdefault((target.time, target.control), []).append((target, var))
+    q = 0.0
+    m = 0
+    for block in blocks.values():
+        if len(block) == 1:
+            target, var = block[0]
+            q += target.estimate**2 / var
+            m += 1
+            continue
+        arms = [_mean_variance_reference(t.arm_values, variance_mode) for t, _ in block]
+        control = _mean_variance_reference(block[0][0].control_values, variance_mode)
+        cov = np.diag(arms) + control
+        e = np.array([t.estimate for t, _ in block])
+        q += float(e @ np.linalg.pinv(cov, hermitian=True) @ e)
+        m += int(np.linalg.matrix_rank(cov, hermitian=True))
+    if m == 0:
+        raise EstimabilityError("no target has a usable variance")
+    return q, m
+
+
+def expected_covariance_blocks_reference(d, sigma2=1.0):
+    """The expected target covariance filled from a dict of blocks keyed
+    by (time, control), as the library filled it before its targets were
+    arrays. Returns (targets, matrix)."""
+    targets = point_effect_targets_reference(d)
+    m = len(targets)
+    blocks = {}
+    for i, t in enumerate(targets):
+        blocks.setdefault((t.time, t.control), []).append(i)
+    cov = np.zeros((m, m))
+    for members in blocks.values():
+        if len(members) > 1:
+            cov[np.ix_(members, members)] = sigma2 / targets[members[0]].control_count
+    arm_counts = np.array([t.arm_count for t in targets], dtype=float)
+    control_counts = np.array([t.control_count for t in targets], dtype=float)
+    cov[np.diag_indices(m)] = sigma2 * (1.0 / arm_counts + 1.0 / control_counts)
+    return targets, cov
+
+
+def resampled_estimates_reference(d, reps, seed, sigma2):
+    """The (reps, targets) array of resampled target estimates, with one
+    mean column per record span from a dict of spans filled one target at
+    a time, as the resampling diagnostic took them before its targets
+    were arrays. Every replication is one row of one block."""
+    targets = point_effect_targets_reference(d)
+    cells = d.periods(False)[-1]
+    means = [_mean_reference(cells.values(g)) for g in range(len(cells.arms))]
+    mu = np.repeat(means, np.diff(cells.bounds))
+    spans = {}
+
+    def column(bounds, g):
+        return spans.setdefault((int(bounds[g]), int(bounds[g + 1])), len(spans))
+
+    arm_cols = np.array([column(t.period.bounds, t.arm) for t in targets], dtype=int)
+    control_cols = np.array([column(t.period.bounds, t.control) for t in targets], dtype=int)
+    y = np.empty((reps, d.n_records))
+    for r, row in enumerate(y):
+        np.random.default_rng([seed, r]).standard_normal(out=row)
+        row *= math.sqrt(sigma2)
+        row += mu
+    col_means = np.empty((reps, len(spans)))
+    for (lo, hi), c in spans.items():
+        col_means[:, c] = y[:, lo:hi].mean(axis=1)
+    return col_means[:, arm_cols] - col_means[:, control_cols]
+
+
 def eager_period_keys(d, markov):
     """Every arm key of every period, built up front from the records: the
     distinct signatures of each period sorted as integer tuples, which is
@@ -371,7 +532,8 @@ def constraint_rows_reference(spec, d, variance_mode, markov=False):
     downstream load minus its control's; the weight is 1 / variance, or 0
     with a note when the variance is not finite and positive. Returns the
     rows and the features evaluated, by key."""
-    targets, skipped = point_effect_targets(d, markov=markov)
+    targets = point_effect_targets_reference(d, markov=markov)
+    _, skipped = point_effect_targets(d, markov=markov)
     skipped_keys = {key for key, _ in skipped}
     features = {}
 
@@ -486,7 +648,7 @@ def expected_covariance_reference(d, sigma2=1.0):
     share a parent stratum. This is the double loop the library's
     block-by-block fill replaced. Returns (targets, matrix).
     """
-    targets, _ = point_effect_targets(d)
+    targets = point_effect_targets_reference(d)
     m = len(targets)
     cov = np.zeros((m, m))
     for i, t in enumerate(targets):
@@ -519,7 +681,7 @@ def null_statistic_reference(d, variance_mode):
         return float(np.var(values, ddof=1)) / values.size
 
     usable = []
-    for t in point_effect_targets(d)[0]:
+    for t in point_effect_targets_reference(d):
         va, vc = mean_var(t.arm_values), mean_var(t.control_values)
         if math.isfinite(va + vc) and va + vc > 0.0:
             usable.append((t, va, vc))

@@ -311,7 +311,7 @@ def test_08_last_step_pooling():
     probe = simulate(dgp, 4000, seed=808)
     targets, skipped = point_effect_targets(probe)
     skip_n = Counter(key.time for key, _ in skipped)
-    use_n = Counter(t.key.time for t in targets)
+    use_n = Counter(targets.times.tolist())
     share7 = skip_n[7] / (skip_n[7] + use_n[7])
     share8 = skip_n[8] / (skip_n[8] + use_n[8])
     infeasible = len(skipped) > 2000 and share7 > 0.5 and share8 > 0.75

@@ -267,23 +267,40 @@ def test_a_downstream_load_that_overflows_exits_two(tmp_path, markov3_csv, capsy
     ]
 
 
-@pytest.mark.parametrize("command", ["estimate", "suggest-pattern"])
-def test_a_downstream_load_that_overflows_writes_only_the_error(tmp_path, markov3_csv, command):
-    # A child process, so that numpy's warnings would reach its stderr.
-    pattern = write(tmp_path, "pat.txt", "term big: 1e308 * z[t-1]\n")
+def run_cli(*args):
+    """Run the CLI in a child process, so that numpy's warnings would reach
+    its stderr; returns (exit code, stderr lines)."""
     src = str(Path(seqeffects.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     run = subprocess.run(
         [sys.executable, "-c", "import sys; from seqeffects.cli import main; "
-         "sys.exit(main(sys.argv[1:]))", command, "--data", markov3_csv, "--pattern", pattern],
+         "sys.exit(main(sys.argv[1:]))", *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
-    assert run.returncode == 2
-    assert run.stderr.splitlines() == [
+    return run.returncode, run.stderr.splitlines()
+
+
+@pytest.mark.parametrize("command", ["estimate", "suggest-pattern"])
+def test_a_downstream_load_that_overflows_writes_only_the_error(tmp_path, markov3_csv, command):
+    pattern = write(tmp_path, "pat.txt", "term big: 1e308 * z[t-1]\n")
+    assert run_cli(command, "--data", markov3_csv, "--pattern", pattern) == (2, [
         "error: target z1=1: the coefficient of parameter 'big' is not finite (nan): "
         "its feature row and downstream loads overflow when summed"
-    ]
+    ])
+
+
+@pytest.mark.parametrize("command", ["estimate", "suggest-pattern"])
+def test_a_weighted_coefficient_that_overflows_writes_only_the_error(
+    tmp_path, markov3_csv, command
+):
+    # The coefficient 1e307 is finite; times the square root of the
+    # target's weight, which is above 1, it is not.
+    pattern = write(tmp_path, "pat.txt", "group a: when t >= 2\nterm big: 1e307 * (t == 1)\n")
+    assert run_cli(command, "--data", markov3_csv, "--pattern", pattern) == (2, [
+        "error: target z1=1: the weighted coefficient of parameter 'big' is not finite "
+        "(inf): the target's weight makes it overflow"
+    ])
 
 
 def test_diagnose_negative_seed_exits_one(tmp_path, ref_csv, capsys):

@@ -112,7 +112,7 @@ def test_saturated_fit_reproduces_every_target_on_random_panels(seed, horizon, w
         # only a control-less arm below a target can stop a saturated fit
         assert skipped and "is not identified" in str(exc)
         return
-    estimates = np.array([t.estimate for t in targets])
+    estimates = targets.estimates()
     assert fit.rank == len(targets)
     scale = max(1.0, np.abs(estimates).max())
     np.testing.assert_allclose(fit.fitted, estimates, rtol=0, atol=1e-9 * scale)
@@ -435,7 +435,7 @@ def test_an_arm_without_spread_has_zero_variance(value):
     d = constant_arm_panel(value)
     mode = VarianceMode.estimated()
     targets, _ = point_effect_targets(d)
-    variances = {t.key.label(): t.variance(mode) for t in targets}
+    variances = dict(zip(targets.labels(), targets.variances(mode).tolist()))
     assert variances.pop("z1=0 x1=0 z2=1") == 0.0
     assert min(variances.values()) > 0.01
     fit = fit_net_effects(parse_pattern(TWO_PERIODS), d, mode)
@@ -482,7 +482,7 @@ def test_expected_covariance_couples_arms_sharing_a_control():
             i += 1
     d = load_dataset(io.StringIO("\n".join(rows) + "\n"))
     targets, V = expected_target_covariance(d, sigma2=2.0)
-    assert [t.key.label() for t in targets] == ["z1=1", "z1=2"]
+    assert [key.label() for key in targets] == ["z1=1", "z1=2"]
     np.testing.assert_allclose(np.diag(V), [2 * (1 / 2 + 1 / 4), 2 * (1 / 2 + 1 / 4)])
     assert V[0, 1] == pytest.approx(2.0 / 4)
 
@@ -550,7 +550,7 @@ def assert_same_report(report, reference):
 def test_resampling_diagnostic_matches_the_pairwise_loops(d, reps, seed, sigma2):
     targets, expected = expected_target_covariance(d, sigma2)
     ref_targets, ref_expected = expected_covariance_reference(d, sigma2)
-    assert [t.key for t in targets] == [t.key for t in ref_targets]
+    assert list(targets) == [t.key for t in ref_targets]
     assert np.array_equal(expected, ref_expected)
     report = resampling_diagnostic(d, reps=reps, seed=seed, sigma2=sigma2)
     if not targets:

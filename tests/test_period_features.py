@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from helpers import constant_arm_panel, constraint_rows_reference, random_panel
 from seqeffects import (
     CoverageError,
+    Dataset,
     VarianceMode,
     build_constraints,
     fit_net_effects,
@@ -27,7 +28,6 @@ from seqeffects import (
     parse_pattern,
     simulate,
 )
-from seqeffects.strata import _mean
 
 POSITIONS = ["t", "t - 1", "t - 2", "t + 1", "0", "1", "2", "3", "T", "z[t]", "1.0", "t == 1"]
 NUMBERS = ["t", "T", "0", "1", "2", "3", "0.5", "1.5", "-1.25", "1e308",
@@ -215,7 +215,13 @@ def test_fits_raise_and_report_what_the_per_key_loop_does(d, markov, spec, mode)
 def test_an_arm_mean_is_ndarray_mean(seed, size, scale):
     rng = np.random.default_rng(seed)
     values = rng.normal(scale, scale, size)
-    assert np.float64(_mean(values)).tobytes() == np.float64(values.mean()).tobytes()
+
+    def arm_means(z):
+        d = Dataset(z.reshape(-1, 1), None, values, [f"u{i}" for i in range(size)])
+        return d.periods(False)[0].means
+
+    assert arm_means(np.zeros(size)).tobytes() == np.float64(values.mean()).tobytes()
     tail = values[size // 3 :]  # a slice that starts inside the array, as an arm does
     if tail.size:
-        assert np.float64(_mean(tail)).tobytes() == np.float64(tail.mean()).tobytes()
+        means = arm_means(np.arange(size) >= size // 3)
+        assert np.float64(means[-1]).tobytes() == np.float64(tail.mean()).tobytes()

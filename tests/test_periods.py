@@ -41,17 +41,22 @@ def test_full_targets_match_the_trie(d):
     want, want_skipped = full_targets_reference(d)
     assert skipped == want_skipped
     assert skipped.labels() == [key.label() for key, _ in want_skipped]
-    assert [(t.key, t.time) for t in targets] == [(w[0], w[1]) for w in want]
-    for got, (_, _, arm, control) in zip(targets, want):
-        assert np.array_equal(got.arm_values, arm)
-        assert np.array_equal(got.control_values, control)
-        assert got.estimate == float(arm.mean()) - float(control.mean())
-        assert got.variance(VarianceMode.known(2.5)) == 2.5 / arm.size + 2.5 / control.size
+    assert list(zip(targets, targets.times.tolist())) == [(w[0], w[1]) for w in want]
+    periods = d.periods(False)
+    estimates = targets.estimates().tolist()
+    known = targets.variances(VarianceMode.known(2.5)).tolist()
+    estimated = targets.variances(VarianceMode.estimated()).tolist()
+    for i, (_, _, arm, control) in enumerate(want):
+        period = periods[targets.times[i] - 1]
+        assert np.array_equal(period.values(targets.arms[i]), arm)
+        assert np.array_equal(period.values(targets.controls[i]), control)
+        assert estimates[i] == float(arm.mean()) - float(control.mean())
+        assert known[i] == 2.5 / arm.size + 2.5 / control.size
         if min(arm.size, control.size) < 2:
-            assert got.variance(VarianceMode.estimated()) == np.inf
+            assert estimated[i] == np.inf
             continue
         ref_var = np.var(arm, ddof=1) / arm.size + np.var(control, ddof=1) / control.size
-        assert abs(got.variance(VarianceMode.estimated()) - ref_var) <= 1e-12 * max(1.0, ref_var)
+        assert abs(estimated[i] - ref_var) <= 1e-12 * max(1.0, ref_var)
 
 
 @settings(max_examples=80, deadline=None)
@@ -77,13 +82,14 @@ def test_full_loads_match_the_subtree_walk(d, size, seed):
     )
     targets, _ = point_effect_targets(d)
     # loads are indexed by (period, arm); only target arms and controls are filled
-    needed = {(t.time, g) for t in targets for g in (t.arm, t.control)}
+    columns = list(zip(targets, targets.times.tolist(), targets.arms, targets.controls))
+    needed = {(t, int(g)) for _, t, a, c in columns for g in (a, c)}
     assert [load.shape for load in loads] == [(len(p.keys), size) for p in periods]
     assert filled_load_rows(loads) == needed
-    for target in targets:
-        keys = periods[target.time - 1].keys
-        assert keys[target.arm] == target.key
-        assert keys[target.control] == target.key.sibling(0)
+    for key, t, arm, control in columns:
+        keys = periods[t - 1].keys
+        assert keys[arm] == key
+        assert keys[control] == key.sibling(0)
     for t, g in needed:
         key = periods[t - 1].keys[g]
         want = downstream_walk(table, table.require(key), key, values.__getitem__)

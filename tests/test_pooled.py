@@ -152,10 +152,11 @@ def side_sums(d, spec):
         periods, lambda t, index: key_rows(periods[t - 1], index, feature, spec.size), spec.size
     )
     targets, _ = point_effect_targets(d, markov=True)
-    needed = {(t.time, g) for t in targets for g in (t.arm, t.control)}
+    columns = zip(targets.times.tolist(), targets.arms.tolist(), targets.controls.tolist())
+    needed = {(t, g) for t, a, c in columns for g in (a, c)}
     assert filled_load_rows(loads) == needed
     got = {periods[t - 1].keys[g]: loads[t - 1][g] for t, g in needed}
-    return got, {t.key for t in targets} | {t.key.sibling(0) for t in targets}
+    return got, set(targets) | {key.sibling(0) for key in targets}
 
 
 @settings(max_examples=80, deadline=None)
@@ -185,16 +186,20 @@ def test_targets_match_the_trie_reference(d):
     want, want_skipped = reference_targets(d)
     assert [k for k, _ in skipped] == want_skipped
     assert all(why == "control arm unobserved" for _, why in skipped)
-    assert [(t.key, t.time) for t in targets] == [(w[0], w[1]) for w in want]
-    mode = VarianceMode.estimated()
-    for target, (key, _, arm, control) in zip(targets, want):
-        assert (target.arm_count, target.control_count) == (arm.size, control.size)
-        assert abs(target.estimate - (arm.mean() - control.mean())) <= 1e-12
+    assert list(zip(targets, targets.times.tolist())) == [(w[0], w[1]) for w in want]
+    columns = zip(
+        *targets.counts(), targets.estimates(), targets.variances(VarianceMode.estimated())
+    )
+    for (arm_count, control_count, estimate, variance), (_, _, arm, control) in zip(
+        columns, want
+    ):
+        assert (arm_count, control_count) == (arm.size, control.size)
+        assert abs(estimate - (arm.mean() - control.mean())) <= 1e-12
         if min(arm.size, control.size) < 2:
-            assert target.variance(mode) == np.inf
+            assert variance == np.inf
             continue
         ref_var = np.var(arm, ddof=1) / arm.size + np.var(control, ddof=1) / control.size
-        assert abs(target.variance(mode) - ref_var) <= 1e-12 * max(1.0, ref_var)
+        assert abs(variance - ref_var) <= 1e-12 * max(1.0, ref_var)
 
 
 def without_control(seed, n):

@@ -1,23 +1,37 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from helpers import (
+    expected_covariance_blocks_reference,
+    null_test_blocks_reference,
+    point_effect_targets_reference,
+    random_panel,
+    resampled_estimates_reference,
+)
 from seqeffects import (
+    Dataset,
+    EstimabilityError,
     MarkovKey,
     StratumKey,
     UsageError,
     VarianceMode,
+    expected_target_covariance,
+    net_effect_null_test,
     point_effect_targets,
+    resampling_diagnostic,
 )
 
 
 def test_variance_modes(d16):
-    target = point_effect_targets(d16)[0][0]
-    assert target.key == StratumKey((1,), ())
+    targets = point_effect_targets(d16)[0]
+    assert targets[0] == StratumKey((1,), ())
     # Both arms hold 8 records: sigma2 4 over 8 is 0.5 each. The arm z1=1
     # has sample variance 112.5 (14.0625 over 8), the control z1=0 has
     # squared deviations 1354 from its mean 115 (1354 / 7 over 8).
-    assert target.variance(VarianceMode.known(4.0)) == pytest.approx(0.5 + 0.5)
-    assert target.variance(VarianceMode.estimated()) == pytest.approx(14.0625 + 1354 / 56)
+    assert targets.variances(VarianceMode.known(4.0))[0] == pytest.approx(0.5 + 0.5)
+    assert targets.variances(VarianceMode.estimated())[0] == pytest.approx(14.0625 + 1354 / 56)
 
 
 def test_variance_mode_parsing():
@@ -49,7 +63,7 @@ def test_period_arms_list_record_indices(d16):
 
 def test_point_effect_targets_cover_every_arm(d16):
     targets, skipped = point_effect_targets(d16)
-    labels = [t.key.label() for t in targets]
+    labels = [key.label() for key in targets]
     assert labels == [
         "z1=1",
         "z1=0 x1=0 z2=1",
@@ -62,22 +76,22 @@ def test_point_effect_targets_cover_every_arm(d16):
 
 def test_point_effect_estimates_match_cell_contrasts(d16):
     targets, skipped = point_effect_targets(d16)
-    by_label = {t.key.label(): t for t in targets}
-    known = VarianceMode.known(1.0)
-    assert by_label["z1=1"].estimate == pytest.approx(16.25)
-    assert by_label["z1=1"].variance(known) == pytest.approx(0.25)
-    assert by_label["z1=0 x1=0 z2=1"].estimate == pytest.approx(20.0)
-    assert by_label["z1=1 x1=1 z2=1"].estimate == pytest.approx(-10.0)
-    assert by_label["z1=1 x1=0 z2=1"].variance(known) == pytest.approx(1 / 3 + 1)
+    estimates = dict(zip(targets.labels(), targets.estimates()))
+    variances = dict(zip(targets.labels(), targets.variances(VarianceMode.known(1.0))))
+    assert estimates["z1=1"] == pytest.approx(16.25)
+    assert variances["z1=1"] == pytest.approx(0.25)
+    assert estimates["z1=0 x1=0 z2=1"] == pytest.approx(20.0)
+    assert estimates["z1=1 x1=1 z2=1"] == pytest.approx(-10.0)
+    assert variances["z1=1 x1=0 z2=1"] == pytest.approx(1 / 3 + 1)
     assert skipped == []
 
 
 def test_markov_targets_pool_histories(d16):
     targets, skipped = point_effect_targets(d16, markov=True)
-    labels = [t.key.label() for t in targets]
+    labels = [key.label() for key in targets]
     assert labels[0] == "z1=1"
     assert all("pooled" in lab for lab in labels[1:])
-    assert all(isinstance(t.key, MarkovKey) for t in targets[1:])
+    assert all(isinstance(key, MarkovKey) for key in targets[1:])
     # four (z1, x1, z2=1) strata collapse onto four pooled keys here
     assert len(targets) == 5
 
@@ -103,7 +117,7 @@ def test_single_arm_stratum_is_skipped():
     targets, skipped = point_effect_targets(d)
     skipped_labels = [k.label() for k, _ in skipped]
     assert any("z1=1" in lab and "z2=1" in lab for lab in skipped_labels)
-    target_labels = [t.key.label() for t in targets]
+    target_labels = [key.label() for key in targets]
     assert "z1=1 x1=0 z2=1" not in target_labels
 
 
@@ -118,3 +132,76 @@ def test_missing_control_leaves_no_targets():
     assert targets == []
     assert [k.label() for k, _ in skipped] == ["z1=1", "z1=2"]
     assert all("control arm unobserved" in why for _, why in skipped)
+
+
+def one_period_panel(z, y):
+    return Dataset(np.reshape(z, (-1, 1)), None, y, [f"u{i}" for i in range(len(y))])
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.builds(
+        random_panel,
+        seed=st.integers(0, 2**32 - 1),
+        horizon=st.integers(1, 4),
+        width=st.integers(1, 2),
+        n=st.integers(1, 120),
+        levels=st.integers(1, 5),
+    ),
+    markov=st.booleans(),
+    mode=st.sampled_from([VarianceMode.known(2.5), VarianceMode.estimated()]),
+    seed=st.integers(0, 2**16),
+)
+# no targets: nobody is treated
+@example(d=random_panel(0, 2, 1, 10, 1), markov=False, mode=VarianceMode.estimated(), seed=0)
+# no usable variance: every arm holds one record
+@example(
+    d=one_period_panel([0, 1, 2], [1.0, 2.0, 3.0]),
+    markov=False,
+    mode=VarianceMode.estimated(),
+    seed=0,
+)
+# one arm of one record beside two usable ones, all sharing a control
+@example(
+    d=one_period_panel([0, 0, 1, 2, 2, 3, 3], [1.0, 2.0, 5.0, 3.0, 3.5, 7.0, 6.0]),
+    markov=False,
+    mode=VarianceMode.estimated(),
+    seed=0,
+)
+def test_target_arrays_match_the_per_target_reference(d, markov, mode, seed):
+    targets, _ = point_effect_targets(d, markov=markov)
+    want = point_effect_targets_reference(d, markov=markov)
+    assert list(targets) == [t.key for t in want]
+    assert targets.labels() == [t.key.label() for t in want]
+    assert targets.times.tolist() == [t.time for t in want]
+    arm_counts, control_counts = targets.counts()
+    assert arm_counts.tolist() == [t.arm_count for t in want]
+    assert control_counts.tolist() == [t.control_count for t in want]
+    assert bits(targets.estimates()) == bits([t.estimate for t in want])
+    arm_var, control_var = targets.mean_variances(mode)
+    assert bits(arm_var) == bits([t.mean_variances(mode)[0] for t in want])
+    assert bits(control_var) == bits([t.mean_variances(mode)[1] for t in want])
+    assert bits(targets.variances(mode)) == bits([t.variance(mode) for t in want])
+    if markov:
+        return
+    # the diagnostics, which read the full-history targets
+    try:
+        statistic, df = null_test_blocks_reference(d, mode)
+    except EstimabilityError as exc:
+        with pytest.raises(EstimabilityError, match=str(exc)):
+            net_effect_null_test(d, mode)
+    else:
+        result = net_effect_null_test(d, mode)
+        assert (bits(result.statistic), result.df) == (bits(statistic), df)
+    sigma2 = mode.sigma2 if mode.kind == "known" else 1.0
+    _, cov = expected_target_covariance(d, sigma2)
+    assert cov.tobytes() == expected_covariance_blocks_reference(d, sigma2)[1].tobytes()
+    if targets:
+        m = len(targets)
+        report = resampling_diagnostic(d, reps=3, seed=seed, sigma2=sigma2)
+        est = resampled_estimates_reference(d, 3, seed, sigma2)
+        assert report.empirical.tobytes() == np.cov(est, rowvar=False).reshape(m, m).tobytes()
