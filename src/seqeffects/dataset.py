@@ -13,6 +13,13 @@ ids that have it. Both directions work on fixed blocks of rows, one
 column at a time, so the memory they take beyond the arrays is bounded
 by a block.
 
+A block that needs no csv quoting takes a split path: the writer joins
+its fields with commas, and the reader splits its lines on commas when
+they hold no quote, no NUL and no line longer than csv's field size
+limit. Every other block goes through csv.writer, and the reader hands
+the first such block and the rest of the file to csv.reader. The files,
+arrays and errors are the same either way.
+
 A Dataset indexes its records two ways. `Dataset.periods` lists each
 period's treatment arms as flat arrays, full-history or pooled, and alone
 knows where a record sits; targets, fits and diagnostics read only these.
@@ -29,7 +36,8 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import chain, compress, islice, repeat
+from operator import ne
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +54,11 @@ _LINE_BREAK = re.compile(r"\r\n?|\n")
 # at a time, so the memory beyond the arrays themselves is one block's.
 _BLOCK_ROWS = 8192
 _CODE_MAX = 2**63 - 1
+# Characters csv.writer quotes in a field (NUL too, which some versions
+# refuse); a block whose ids hold none is written without csv.writer.
+_QUOTED = ',"\r\n\0'
+# str(code) for the codes small enough to look up when writing.
+_CODE_TEXT = np.array([str(i) for i in range(1024)], dtype=object)
 
 
 class _ArmKeys(Sequence):
@@ -434,23 +447,7 @@ def _parse_csv(fh) -> Dataset:
     ncol = 1 + horizon + (horizon - 1) * width + 1
 
     ids, codes, ys = [], [], []
-    while True:
-        line_no = reader.line_num + 1  # the first line of the block's first row
-        rows = []
-        try:
-            rows.extend(islice(reader, _BLOCK_ROWS))
-        except (csv.Error, UnicodeDecodeError) as exc:
-            # extend keeps the rows read before the failure; their errors
-            # come first in file order.
-            _parse_rows(rows, line_no, ncol)
-            if isinstance(exc, csv.Error):
-                raise ParseError(f"row {reader.line_num}: {exc}") from None
-            raise
-        if not rows:
-            break
-        block_ids, block_codes, block_y = (
-            _parse_block(rows, ncol) or _parse_rows(rows, line_no, ncol)
-        )
+    for block_ids, block_codes, block_y in _blocks(fh, reader.line_num, ncol):
         ids += block_ids
         codes.append(block_codes)
         ys.append(block_y)
@@ -462,18 +459,79 @@ def _parse_csv(fh) -> Dataset:
     return Dataset(z, x, np.concatenate(ys), ids)
 
 
-def _parse_block(rows: list[list[str]], ncol: int):
-    """(ids, codes, y) of a block of rows, converted a column at a time,
-    or None when a row is blank or malformed; the caller then rescans the
-    block row by row."""
-    if any(len(r) != ncol for r in rows):
-        return None
-    n = len(rows)
-    cols = list(zip(*rows))
-    codes = np.empty((n, ncol - 2), dtype=np.int64)
+def _blocks(fh, lines: int, ncol: int):
+    """(ids, codes, y) of each block of the data rows left in `fh`, which
+    has `lines` lines read. A block of lines with no quote, no NUL and no
+    line over csv's field size limit is split on commas, which reads the
+    fields csv.reader would; the first block that has one, and the rest of
+    the file, go through csv.reader."""
+    limit = csv.field_size_limit()
+    while True:
+        block, failure = [], None
+        try:
+            block.extend(islice(fh, _BLOCK_ROWS))
+        except UnicodeDecodeError as exc:  # csv.reader re-raises it below
+            failure = exc
+        if not (block or failure):
+            return
+        text = "".join(block)
+        if failure or '"' in text or "\0" in text or max(map(len, block)) > limit:
+            rest = chain(block, _raise(failure)) if failure else chain(block, fh)
+            yield from _csv_blocks(csv.reader(rest), lines, ncol)
+            return
+        # Every line ends in its own line break but perhaps the file's last.
+        texts = list(map(str.rstrip, block, repeat("\r\n")))
+        if set(map(str.count, texts, repeat(","))) == {ncol - 1}:
+            fields = ",".join(texts).split(",")
+            parsed = _parse_columns([fields[j::ncol] for j in range(ncol)])
+        else:
+            parsed = None
+        yield parsed or _parse_rows(
+            [text.split(",") if text else [] for text in texts], lines + 1, ncol
+        )
+        lines += len(block)
+
+
+def _raise(exc):
+    """An iterator that raises `exc` when read."""
+    raise exc
+    yield
+
+
+def _csv_blocks(reader, lines: int, ncol: int):
+    """`_blocks` for rows read by `reader`, whose first line is file line
+    `lines + 1`."""
+    while True:
+        line_no = lines + reader.line_num + 1  # the first line of the block's first row
+        rows = []
+        try:
+            rows.extend(islice(reader, _BLOCK_ROWS))
+        except (csv.Error, UnicodeDecodeError) as exc:
+            # extend keeps the rows read before the failure; their errors
+            # come first in file order.
+            _parse_rows(rows, line_no, ncol)
+            if isinstance(exc, csv.Error):
+                raise ParseError(f"row {lines + reader.line_num}: {exc}") from None
+            raise
+        if not rows:
+            return
+        if any(len(r) != ncol for r in rows):
+            parsed = None
+        else:
+            parsed = _parse_columns(list(zip(*rows)))
+        yield parsed or _parse_rows(rows, line_no, ncol)
+
+
+def _parse_columns(cols: list) -> tuple | None:
+    """(ids, codes, y) of a block from its `ncol` columns of fields, or None
+    when a code or outcome is malformed; the caller then rescans the block
+    row by row. A code column converts each distinct spelling once."""
+    n = len(cols[0])
+    codes = np.empty((n, len(cols) - 2), dtype=np.int64)
     try:
-        for j in range(ncol - 2):
-            codes[:, j] = np.fromiter(map(int, cols[j + 1]), np.int64, count=n)
+        for j, col in enumerate(cols[1:-1]):
+            value = {s: int(s) for s in set(col)}
+            codes[:, j] = np.fromiter(map(value.__getitem__, col), np.int64, count=n)
         y = np.fromiter(map(float, cols[-1]), float, count=n)
     except (ValueError, OverflowError):  # OverflowError: a code beyond int64
         return None
@@ -531,7 +589,8 @@ def save_dataset(d: Dataset, path) -> None:
     Raises UsageError for a unit id with leading or trailing whitespace,
     which load_dataset would strip.
     """
-    spaced = next((u for u in d.unit_ids if u != u.strip()), None)
+    ids = d.unit_ids
+    spaced = next(compress(ids, map(ne, ids, map(str.strip, ids))), None)
     if spaced is not None:
         raise UsageError(
             f"unit id {spaced!r} has leading or trailing whitespace, "
@@ -548,6 +607,22 @@ def save_dataset(d: Dataset, path) -> None:
         writer.writerow(header)
         for lo in range(0, d.n_records, _BLOCK_ROWS):
             block = slice(lo, lo + _BLOCK_ROWS)
-            # csv writes an int with str() and a float with repr().
-            cols = [c[block].tolist() for c in codes]
-            writer.writerows(zip(d.unit_ids[block], *cols, d.y[block].tolist()))
+            block_ids = ids[block]
+            joined = "".join(block_ids)
+            if any(c in joined for c in _QUOTED):
+                cols = [c[block].tolist() for c in codes]
+                writer.writerows(zip(block_ids, *cols, d.y[block].tolist()))
+                continue
+            # The bytes csv.writer writes: an int with str(), a float with
+            # repr(), no quotes, and CRLF after every row.
+            cols = [_code_text(c[block]) for c in codes]
+            y = map(float.__repr__, d.y[block].tolist())
+            fh.write("\r\n".join(map(",".join, zip(block_ids, *cols, y))))
+            fh.write("\r\n")
+
+
+def _code_text(codes: np.ndarray):
+    """`str(code)` for each of a block's codes, from a table when all are small."""
+    if codes.max() < _CODE_TEXT.size:
+        return _CODE_TEXT[codes].tolist()
+    return map(str, codes.tolist())

@@ -262,8 +262,11 @@ def fit_net_effects(
         # A parameter's units must not decide whether it is identified:
         # test again on unit-norm columns (a zero column keeps scale 1).
         # With fewer rows than parameters only the full SVD (U is m x m)
-        # keeps the whole null space.
-        scale = np.linalg.norm(A, axis=0)
+        # keeps the whole null space. A column's norm is taken over the
+        # column divided by its largest entry, whose squares cannot overflow.
+        peak = np.abs(A).max(axis=0)
+        peak[peak == 0.0] = 1.0
+        scale = peak * np.linalg.norm(A / peak, axis=0)
         scale[scale == 0.0] = 1.0
         _, S_unit, V_unit = np.linalg.svd(A / scale, full_matrices=len(A) < k)
         rank = int(np.sum(S_unit > _RANK_RTOL * S_unit[0]))

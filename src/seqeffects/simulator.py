@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice, product
 from typing import Callable
 
 import numpy as np
@@ -190,8 +191,15 @@ def simulate(dgp: DgpSpec, n: int, seed: int) -> Dataset:
             y[pos : pos + count] += dgp.sigma * rng.standard_normal(count)
         pos += count
     perm = rng.permutation(n)
-    ids = [f"s{i + 1:06d}" for i in range(n)]
-    return Dataset(z[perm], x[perm], y[perm], ids)
+    return Dataset(z[perm], x[perm], y[perm], _sample_ids(n))
+
+
+def _sample_ids(n: int) -> list[str]:
+    """`[f"s{i:06d}" for i in range(1, n + 1)]`, joined from a thousands
+    part and a three-digit part rather than formatted one at a time."""
+    thousands = [f"s{h:03d}" for h in range(n // 1000 + 1)]
+    units = [f"{u:03d}" for u in range(1000)]
+    return list(islice(map("".join, product(thousands, units)), 1, n + 1))
 
 
 def causal_net_effects(dgp: DgpSpec) -> dict[StratumKey, float]:

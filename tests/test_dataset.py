@@ -362,3 +362,101 @@ def test_save_memory_is_bounded_by_a_block(tmp_path):
 
     block = save_peak(seqeffects.dataset._BLOCK_ROWS)
     assert save_peak(50_000) - save_peak(25_000) < block
+
+
+READER = csv.reader  # the real one, for CountingReader to call while it is patched in
+
+
+class CountingReader:
+    """csv.reader that counts the readers made and the rows they yield."""
+
+    made = rows = 0
+
+    def __init__(self, *args, **kwargs):
+        self._reader = READER(*args, **kwargs)
+        CountingReader.made += 1
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        row = next(self._reader)
+        CountingReader.rows += 1
+        return row
+
+    @property
+    def line_num(self):
+        return self._reader.line_num
+
+
+def through_csv(source):
+    """(what load_dataset makes of `source`, csv readers it made, rows they
+    yielded): a header reader and one for the blocks that are not split."""
+    CountingReader.made = CountingReader.rows = 0
+    with mock.patch.object(seqeffects.dataset.csv, "reader", CountingReader):
+        outcome = load_outcome(load_dataset, source)
+    return outcome, CountingReader.made, CountingReader.rows
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_a_panel_without_quotes_is_split_not_read_by_csv(tmp_path, d16, block):
+    save_dataset(d16, tmp_path / "d.csv")
+    data = (tmp_path / "d.csv").read_bytes()
+    with mock.patch.object(seqeffects.dataset, "_BLOCK_ROWS", block):
+        outcome, made, rows = through_csv(tmp_path / "d.csv")
+        assert outcome == load_outcome(load_dataset_reference, data)
+        assert (made, rows) == (1, 1)  # the header alone
+        last = d16.unit_ids[-1].encode()
+        quoted = data.replace(b"\n" + last, b'\n"' + last + b'"')
+        outcome, made, rows = through_csv(quoted)
+        assert outcome == load_outcome(load_dataset_reference, data)
+        assert made == 2 and 1 < rows <= 1 + block
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+def test_a_quoted_line_break_after_split_blocks_keeps_the_line_numbers(block, ending):
+    lines = ["unit_id,z1,y", "a,0,1", "b,1,2", "c,0,3", "d,1,4"]
+    lines += [f'"e{ending}f",0,5', "g,1,6", "h,1"]  # the quoted row spans lines 6 and 7
+    data = ending.join(lines).encode() + ending.encode()
+    with mock.patch.object(seqeffects.dataset, "_BLOCK_ROWS", block):
+        outcome, made, rows = through_csv(data)
+    assert outcome == (ParseError, "row 9: expected 3 fields, found 2")
+    assert outcome == load_outcome(load_dataset_reference, data)
+    assert made == 2 and rows < len(lines) - 1  # the first block or more were split
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_nul_and_long_lines_read_as_csv_reads_them(block):
+    huge = "9" * 200_000  # over csv's field size limit
+    long_id = "u" * 90_000  # a line over the limit whose fields are within it
+    cases = {
+        f"unit_id,z1,y\na,0,1\nb,0\0,1\n": (
+            ParseError,
+            "row 3: non-integer code (invalid literal for int() with base 10: '0\\x00')",
+        ),
+        f"unit_id,z1,y\na,0,1\nb,1,2\nc,0,{huge}\n": (
+            ParseError,
+            "row 4: field larger than field limit (131072)",
+        ),
+        f"unit_id,z1,y\na,0,1\nb\0,1,2\n": None,
+        f"unit_id,z1,y\na,0,1\n{long_id},1,0.{long_id.replace('u', '0')}5\nc,0,3\n": None,
+    }
+    with mock.patch.object(seqeffects.dataset, "_BLOCK_ROWS", block):
+        for text, error in cases.items():
+            data = text.encode()
+            outcome, made, _ = through_csv(data)
+            assert outcome == (error or load_outcome(load_dataset_reference, data))
+            assert made == 2
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_save_writes_large_codes_as_the_reference(tmp_path, block):
+    big = [0, 1023, 1024, 10**6, 2**63 - 1]
+    z = np.array([[c, big[-1 - i]] for i, c in enumerate(big)], dtype=np.int64)
+    x = np.array(big[::-1], dtype=np.int64).reshape(5, 1, 1)
+    d = Dataset(z, x, np.array([0.1, -2.5, 1e300, 5e-324, -0.0]), list("abcde"))
+    save_dataset_reference(d, tmp_path / "reference.csv")
+    with mock.patch.object(seqeffects.dataset, "_BLOCK_ROWS", block):
+        save_dataset(d, tmp_path / "blocks.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()

@@ -1,6 +1,7 @@
 import io
 import json
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -213,7 +214,23 @@ def test_a_null_space_over_scaled_parameters_is_in_their_units(markov3):
     np.testing.assert_allclose(null * np.sign(null[1]), [-1e-11, 1.0], rtol=0.0, atol=1e-16)
 
 
-UNITS = "group a: when t == 1\nterm big: {}z[t-1]\n"
+@pytest.mark.parametrize("size", ["1e-3", "1e200"])
+def test_huge_duplicate_terms_are_one_unidentified_direction(markov3, size):
+    # Squaring a 1e200 column overflows, so its norm must not be taken directly.
+    spec = parse_pattern(
+        f"group a: when t >= 2\nterm big: {size} * (t == 1)\nterm dup: {size} * (t == 1)\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IdentifiabilityError) as exc:
+            fit_net_effects(spec, markov3, VarianceMode.known(1.0))
+    assert str(exc.value) == (
+        "only 2 of 3 pattern parameters are identified by 21 usable targets; "
+        "unidentified directions span 0.707*big - 0.707*dup"
+    )
+
+
+UNITS ="group a: when t == 1\nterm big: {}z[t-1]\n"
 
 
 def test_saturated_fit_names_strata_without_a_control():
