@@ -22,7 +22,8 @@ arrays and errors are the same either way.
 
 A Dataset indexes its records two ways. `Dataset.periods` lists each
 period's treatment arms as flat arrays, full-history or pooled, and alone
-knows where a record sits; targets, fits and diagnostics read only these.
+knows where a record sits and turns its rows into each arm's key, label
+and statistics; targets, fits and diagnostics read only these.
 `Dataset.table` is the history-prefix trie of masses and means behind the
 exact recursion, the oracle and the decomposition check.
 """
@@ -61,39 +62,11 @@ _QUOTED = ',"\r\n\0'
 _CODE_TEXT = np.array([str(i) for i in range(1024)], dtype=object)
 
 
-class _ArmKeys(Sequence):
-    """Read-only sequence of a period's arm keys. Arm g's key is built
-    from its row of `heads` the first time it is read, then kept, so
-    arms that nothing names (most controls) never get one."""
-
-    __slots__ = ("_heads", "_make", "_keys")
-
-    def __init__(self, heads: np.ndarray, make):
-        self._heads = heads
-        self._make = make
-        self._keys: list = [None] * len(heads)
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __getitem__(self, g):
-        if isinstance(g, slice):
-            return tuple(map(self.__getitem__, range(len(self))[g]))
-        key = self._keys[g]
-        if key is None:
-            key = self._keys[g] = self._make(self._heads[g].tolist())
-        return key
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-
 class _PickedKeys(Sequence):
     """Read-only sequence of the keys of arms picked from several periods:
-    item i is the key of arm `arms[i]` of `periods[i]`, built when read
-    like a period's own keys. `labels()` gives every item's label from
-    the heads without building a key, and `rows()` each item's row of
-    per-period arrays."""
+    item i is the key of arm `arms[i]` of `periods[i]`, built when read.
+    `labels()` gives every item's label from the heads without building a
+    key, and `rows()` each item's row of per-period arrays."""
 
     __slots__ = ("periods", "arms")
 
@@ -107,7 +80,7 @@ class _PickedKeys(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(map(self.__getitem__, range(len(self))[i]))
-        return self.periods[i].keys[self.arms[i]]
+        return self.periods[i].key(self.arms[i])
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
@@ -150,8 +123,8 @@ class PeriodArms:
     Arm g's key is the row `heads[g]`: the treatments and covariate
     vectors z[first], x[first], ..., x[time - 1], z[time] interleaved,
     `width` components to a vector, where `first` is 1 for a full-history
-    arm and time - 1 for a `pooled` one. `keys[g]` builds that key on
-    first use (see `_ArmKeys`); `labels` formats labels from the rows."""
+    arm and time - 1 for a `pooled` one. `key(g)` builds that key and
+    `labels` formats labels from the rows; neither keeps what it makes."""
 
     time: int
     pooled: bool
@@ -163,11 +136,9 @@ class PeriodArms:
     arms: np.ndarray
     control: np.ndarray
 
-    @cached_property
-    def keys(self) -> _ArmKeys:
-        return _ArmKeys(self.heads, self._key)
-
-    def _key(self, r: list[int]) -> PointEffectKey:
+    def key(self, g: int) -> PointEffectKey:
+        """Arm g's key, built from its row of `heads`."""
+        r = self.heads[g].tolist()
         if self.pooled:
             return MarkovKey(self.time, r[0], tuple(r[1:-1]), r[-1])
         step = 1 + self.width
@@ -176,16 +147,11 @@ class PeriodArms:
 
     def labels(self, index) -> list[str]:
         """The labels of arms `index`, as their keys' `label()` reads."""
-        t, w = self.time, self.width
         if self.pooled:
-            template, cols = _markov_template(t, w), slice(None)
+            template = _markov_template(self.time, self.width)
         else:
-            step = 1 + w
-            template = _template(t, (w,) * (t - 1))
-            # the template takes the treatments first, then the covariates
-            cols = [s * step for s in range(t)]
-            cols += [s * step + i for s in range(t - 1) for i in range(1, w + 1)]
-        rows = self.heads[np.asarray(index, dtype=np.intp)][:, cols].tolist()
+            template = _template(self.time, (self.width,) * (self.time - 1))
+        rows = self.heads[np.asarray(index, dtype=np.intp)].tolist()
         return [template.format(*r) for r in rows]
 
     def values(self, g: int) -> np.ndarray:
@@ -195,14 +161,35 @@ class PeriodArms:
     def counts(self) -> np.ndarray:
         return np.diff(self.bounds)
 
+    def _by_count(self):
+        """(arms, outcomes) for each record count n: the arms that hold n
+        records, and their outcomes as a C-ordered (arms, n) array. A sum
+        along its rows adds each row pairwise, as `np.add.reduce` does over
+        the arm's own slice, so the bits are those of one arm at a time."""
+        order = np.argsort(self.counts, kind="stable")
+        cuts = np.flatnonzero(np.diff(self.counts[order])) + 1
+        for arms in np.split(order, cuts):
+            n = int(self.counts[arms[0]])
+            yield arms, self.outcomes[self.bounds[arms, None] + np.arange(n)]
+
     @cached_property
     def means(self) -> np.ndarray:
-        """Each arm's sum over its count, which is the bits of
-        `values(g).mean()` without `mean()`'s overhead per arm."""
-        sums = self.outcomes[self.bounds[:-1]]  # a one-record arm's sum is its record
-        for g in np.flatnonzero(self.counts > 1).tolist():
-            sums[g] = np.add.reduce(self.values(g))
+        """Each arm's sum over its count: the bits of `values(g).mean()`."""
+        sums = np.empty(len(self.arms))
+        for arms, y in self._by_count():
+            sums[arms] = np.add.reduce(y, axis=1)
         return sums / self.counts
+
+    @cached_property
+    def _spreads(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each arm's sum of squared deviations from its mean, and whether
+        all its outcomes are equal."""
+        squares = np.empty(len(self.arms))
+        equal = np.empty(len(self.arms), dtype=bool)
+        for arms, y in self._by_count():
+            squares[arms] = np.add.reduce((y - self.means[arms, None]) ** 2, axis=1)
+            equal[arms] = y.min(axis=1) == y.max(axis=1)
+        return squares, equal
 
 
 def _period_arms(order, cols, outcomes, time, pooled, width) -> PeriodArms:

@@ -66,7 +66,7 @@ class FittedNetEffect:
 
     @property
     def key(self) -> PointEffectKey:
-        return self.period.keys[self.arm]
+        return self.period.key(self.arm)
 
     @property
     def time(self) -> int:
@@ -129,7 +129,7 @@ class NetEffectFit:
         # says that no group covers the arm.
         for i in np.flatnonzero(np.isnan(f[:, 0])).tolist():
             try:
-                f[i] = system.pattern.feature_row(periods[i].keys[arms[i]], system.horizon)
+                f[i] = system.pattern.feature_row(periods[i].key(arms[i]), system.horizon)
             except CoverageError:
                 f[i] = 0.0
                 covered[i] = False
@@ -483,9 +483,9 @@ def pooled_outcome_variance(d: Dataset) -> float:
     n, k = d.n_records, len(cells.arms)
     if n <= k:
         raise EstimabilityError("pooled variance needs more records than occupied cells")
-    ssw = 0.0
-    for g, mean in enumerate(cells.means.tolist()):
-        ssw += float(np.sum((cells.values(g) - mean) ** 2))
+    # A running sum in arm order: np.sum's pairwise sum and builtin sum's
+    # compensated one (Python 3.12+) would round differently.
+    ssw = float(np.cumsum(cells._spreads[0])[-1])
     return ssw / (n - k)
 
 
@@ -646,8 +646,10 @@ def discover_pattern(fit: NetEffectFit, alpha: float = 0.05) -> DiscoveryReport:
     Pairs of group parameters are compared with Wald z statistics and
     merged greedily from the most similar pair up, single linkage, while
     the statistic stays under the two-sided critical value. Terms are
-    carried over unchanged. The suggestion is a starting point for a
-    refit, not a claim that the merged pattern is true.
+    carried over unchanged. A merged group joins its members' names with
+    "_", plus the first free suffix _2, _3, ... if that name is taken.
+    The suggestion is a starting point for a refit, not a claim that the
+    merged pattern is true.
     """
     if not 0.0 < alpha < 1.0:
         raise UsageError(f"alpha must lie strictly between 0 and 1, not {alpha!r}")
@@ -694,15 +696,21 @@ def discover_pattern(fit: NetEffectFit, alpha: float = 0.05) -> DiscoveryReport:
     for i in range(g):
         components.setdefault(find(i), []).append(i)
     ordered = [components[r] for r in sorted(components)]
+    taken = {spec.groups[m[0]].name for m in ordered if len(m) == 1}
+    taken.update(term.name for term in spec.terms)
     groups = []
     for members in ordered:
-        name = "_".join(spec.groups[i].name for i in members)
         if len(members) == 1:
-            predicate = spec.groups[members[0]].predicate
-        else:
-            text = " or ".join(f"({spec.groups[i].predicate.text})" for i in members)
-            predicate = compile_expr(text, {"t", "T"})
-        groups.append(PatternGroup(name, predicate))
+            groups.append(spec.groups[members[0]])
+            continue
+        name = joined = "_".join(spec.groups[i].name for i in members)
+        suffix = 2
+        while name in taken:
+            name = f"{joined}_{suffix}"
+            suffix += 1
+        taken.add(name)
+        text = " or ".join(f"({spec.groups[i].predicate.text})" for i in members)
+        groups.append(PatternGroup(name, compile_expr(text, {"t", "T"})))
     merged_spec = PatternSpec(tuple(groups), spec.terms)
     return DiscoveryReport(
         steps,

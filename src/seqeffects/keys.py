@@ -3,12 +3,15 @@
 A record's history reads z1, x1, z2, x2, ..., x_{T-1}, zT. A stratum is the
 set of records sharing a prefix of that interleaved sequence, so a key is a
 pair of tuples (treatments, covariates) whose lengths differ by at most one.
-The empty key denotes the whole sample.
+The empty key denotes the whole sample. A key formats its label on each
+call, from a template kept per key shape whose slots take the history in
+order, so a period formats labels straight from its rows of history.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 
 from .errors import UsageError
@@ -17,26 +20,17 @@ from .errors import UsageError
 # compare structurally.
 Covariate = tuple[int, ...]
 
-# Label templates by key shape (treatment count, covariate widths): the
-# treatments fill the first slots, then the covariate components in order.
-_TEMPLATES: dict[tuple, str] = {}
 
-
+@cache
 def _template(nz: int, widths: tuple[int, ...]) -> str:
     """The label template of a full-history key with `nz` treatments and
-    covariate vectors of these widths (cached in `_TEMPLATES`)."""
-    shape = (nz, widths)
-    template = _TEMPLATES.get(shape)
-    if template is None:
-        template = _TEMPLATES[shape] = _build_template(nz, widths)
-    return template
-
-
-def _build_template(nz: int, widths: tuple[int, ...]) -> str:
+    covariate vectors of these widths, whose slots take the history in
+    order: z1, the components of x1, z2, ..."""
     parts = []
-    pos = nz
+    pos = 0
     for i in range(nz):
-        parts.append(f"z{i + 1}={{{i}}}")
+        parts.append(f"z{i + 1}={{{pos}}}")
+        pos += 1
         if i < len(widths):
             slots = ",".join(f"{{{j}}}" for j in range(pos, pos + widths[i]))
             parts.append(f"x{i + 1}={slots}")
@@ -44,6 +38,7 @@ def _build_template(nz: int, widths: tuple[int, ...]) -> str:
     return " ".join(parts)
 
 
+@cache
 def _markov_template(t: int, width: int) -> str:
     """The label template of a time-t pooled key with covariate vectors of
     `width` components: the previous treatment, the covariates, then the
@@ -52,21 +47,8 @@ def _markov_template(t: int, width: int) -> str:
     return f"z{t - 1}={{0}} x{t - 1}={slots} z{t}={{{width + 1}}} pooled"
 
 
-class _LabelOnce:
-    """`label()` formats a key's text once and keeps it beside the fields,
-    so equality, hashing and `dataclasses.fields` are unchanged."""
-
-    __slots__ = ()
-
-    def label(self) -> str:
-        text = self.__dict__.get("_label")
-        if text is None:
-            text = self.__dict__["_label"] = self._format_label()
-        return text
-
-
 @dataclass(frozen=True)
-class StratumKey(_LabelOnce):
+class StratumKey:
     """Prefix of the interleaved history defining a subpopulation.
 
     ``len(treatments) == len(covariates)`` is a covariate-ended key (the
@@ -138,18 +120,19 @@ class StratumKey(_LabelOnce):
         """Same conditioning stratum, different trailing treatment."""
         return self.parent_stratum().with_treatment(z)
 
-    def _format_label(self) -> str:
+    def label(self) -> str:
         if not self.treatments:
             return "(all)"
         template = _template(len(self.treatments), tuple(map(len, self.covariates)))
-        return template.format(*self.treatments, *chain.from_iterable(self.covariates))
+        history = zip(self.treatments, chain(self.covariates, [()]))
+        return template.format(*chain.from_iterable((z, *x) for z, x in history))
 
     def __repr__(self) -> str:  # keeps test output readable
         return f"StratumKey<{self.label()}>"
 
 
 @dataclass(frozen=True)
-class MarkovKey(_LabelOnce):
+class MarkovKey:
     """Collapsed point-effect key conditioning only on the previous period.
 
     Used when long sequences make full-history strata too thin: records are
@@ -168,7 +151,7 @@ class MarkovKey(_LabelOnce):
         if self.prev_treatment < 0 or self.treatment < 0:
             raise UsageError("treatment codes must be non-negative")
 
-    def _format_label(self) -> str:
+    def label(self) -> str:
         template = _markov_template(self.time, len(self.prev_covariate))
         return template.format(self.prev_treatment, *self.prev_covariate, self.treatment)
 

@@ -288,12 +288,12 @@ def build_constraints(
         block, period = features[t - 1], periods[t - 1]
         for g in index[np.isnan(block[index, 0])].tolist():
             try:
-                block[g] = spec.feature_row(period.keys[g], horizon)
+                block[g] = spec.feature_row(period.key(g), horizon)
             except CoverageError:
                 # Only downstream loads ask for arms that are not targets.
                 if period.control[g] >= 0:
                     raise
-                raise _unidentified(period.keys[g], skipped) from None
+                raise _unidentified(period.key(g), skipped) from None
         return block
 
     times, arms, controls = targets.times, targets.arms, targets.controls

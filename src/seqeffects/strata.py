@@ -10,8 +10,8 @@ before the previous period.
 Targets read each period's arms off `Dataset.periods`, never the trie,
 and are held as arrays of indices there: an arm and its control are runs
 of records in the one flat layout that serves both the full-history and
-the pooled mode. Estimates, counts and mean variances are read off each
-period's per-arm arrays, one arm at a time however many targets share it.
+the pooled mode. Estimates, counts and mean variances index per-arm
+arrays that each period reduces from its outcomes once (`PeriodArms`).
 """
 
 from __future__ import annotations
@@ -69,19 +69,16 @@ class VarianceMode:
 
 def _mean_variances(period: PeriodArms, index: np.ndarray, mode: VarianceMode) -> np.ndarray:
     """var{arm mean} of the arms `index` of `period`, inf where it is not
-    estimable; an arm listed several times is computed once."""
+    estimable."""
+    n = period.counts[index]
     if mode.kind == "known":
-        return mode.sigma2 / period.counts[index]
-    arms, at = np.unique(index, return_inverse=True)
-    out = np.full(arms.size, math.inf)
-    for i in np.flatnonzero(period.counts[arms] >= 2).tolist():
-        values = period.values(arms[i])
-        if values.min() == values.max():
-            out[i] = 0.0  # the mean of equal values can round away from them
-        else:
-            n = values.size
-            out[i] = float(((values - period.means[arms[i]]) ** 2).sum()) / (n * (n - 1))
-    return out[at]
+        return mode.sigma2 / n
+    squares, equal = period._spreads
+    out = np.full(n.size, math.inf)
+    two = n >= 2
+    out[two] = squares[index[two]] / (n[two] * (n[two] - 1))
+    out[two & equal[index]] = 0.0  # the mean of equal values can round away from them
+    return out
 
 
 # -- point-effect targets ------------------------------------------------

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from seqeffects import (
     CoverageError,
@@ -44,6 +45,63 @@ from seqeffects.simulator import (
     _spread_offsets,
 )
 from seqeffects.tables import TableNode, sort_histories
+
+
+# Effects 5 at periods 1 and 2 and 20 at period 3: a group of each of the
+# first two periods merges, and so does a group of each part of period 3.
+TWO_LEVEL_DGP = """\
+horizon: 3
+sigma: 1
+assign: 0.5
+covariate: 0.5
+effect when t <= 2: 5
+effect: 20
+"""
+
+
+@st.composite
+def rule_files(draw, horizons=st.integers(1, 4), latents=st.booleans()):
+    """Random rule files whose assignment stays inside (0, 1) and whose
+    covariate probability stays inside [0, 1]: every law they describe
+    is valid. Effects read only the treatment and covariate before their
+    own period (and u). With a latent class, rules may read u, and the
+    latent lines may come after the rules. Returns (text, latent)."""
+    horizon = draw(horizons)
+    latent = draw(latents)
+    reads = ["z[t-1]", "x[t-1][1]"] + (["u"] if latent else [])
+    conditions = ["t == 1", "t >= 2", "z[t-1] == 1", "x[t-1][1] == 0"]
+    conditions += ["u == 1"] if latent else []
+
+    def hundredths(lo, hi):
+        return draw(st.integers(lo, hi)) / 100
+
+    def linear(base, coef, names, terms):
+        text = f"{hundredths(*base)}"
+        for name in draw(st.lists(st.sampled_from(names), max_size=terms, unique=True)):
+            text += f" + {hundredths(*coef)} * {name}"
+        return text
+
+    def rules(kind, value, default):
+        out = []
+        for condition in draw(st.lists(st.sampled_from(conditions), max_size=2)):
+            out.append(f"{kind} when {condition}: {value()}")
+        if default or draw(st.booleans()):
+            out.append(f"{kind}: {value()}")
+        return out
+
+    lines = rules("assign", lambda: linear((35, 65), (-15, 15), reads, 2), True)
+    lines += rules("covariate", lambda: linear((20, 80), (-20, 20), reads + ["z[t]"], 1), False)
+    lines += rules("effect", lambda: linear((-3000, 3000), (-1000, 1000), reads, 2), False)
+    scalars = [f"horizon: {horizon}", f"base: {hundredths(-5000, 5000)}"]
+    if latent:
+        latent_lines = [f"latent prob: {hundredths(5, 95)}"]
+        if draw(st.booleans()):
+            latent_lines.append(f"latent shift: {hundredths(-1000, 1000)}")
+        if draw(st.booleans()):
+            lines += latent_lines
+        else:
+            scalars += latent_lines
+    return "\n".join(scalars + lines) + "\n", latent
 
 
 def complete_histories(horizon, covariate_width, levels=2):
@@ -325,7 +383,7 @@ class PointEffectTarget:
 
     @property
     def key(self):
-        return self.period.keys[self.arm]
+        return self.period.key(self.arm)
 
     @property
     def time(self):
@@ -518,7 +576,7 @@ def key_rows(period, index, feature, k):
     evaluation replaced."""
     block = np.full((len(period.arms), k), np.nan)
     for g in np.asarray(index).tolist():
-        block[g] = feature(period.keys[g])
+        block[g] = feature(period.key(g))
     return block
 
 

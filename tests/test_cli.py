@@ -8,8 +8,15 @@ import numpy as np
 import pytest
 
 import seqeffects
-from helpers import constant_arm_panel
-from seqeffects import Dataset, make_markov_dgp, make_reference_fixture, save_dataset, simulate
+from helpers import TWO_LEVEL_DGP, constant_arm_panel
+from seqeffects import (
+    Dataset,
+    make_markov_dgp,
+    make_reference_fixture,
+    parse_dgp,
+    save_dataset,
+    simulate,
+)
 from seqeffects.cli import main
 
 THREE_GROUPS = """\
@@ -429,6 +436,39 @@ def test_suggest_pattern_names_unidentified_strata(tmp_path, capsys):
     assert "is not identified" in err
     assert "control arm is unobserved" in err
     assert "no pattern group matches" not in err
+
+
+@pytest.mark.parametrize(
+    "law, pattern, components, names",
+    [
+        (
+            make_markov_dgp(3),
+            "group a: when t == 2\ngroup b: when t == 3\ngroup a_b: when t == 1\n",
+            [["a", "b"], ["a_b"]],
+            ["a_b_2", "a_b"],
+        ),
+        (
+            parse_dgp(TWO_LEVEL_DGP),
+            "group a: when t == 1\ngroup b_c: when t == 2\n"
+            "group a_b: when t == 3 and z[2] == 1\ngroup c: when t == 3\n",
+            [["a", "b_c"], ["a_b", "c"]],
+            ["a_b_c", "a_b_c_2"],
+        ),
+    ],
+    ids=["unmerged-group", "two-merged-groups"],
+)
+def test_suggest_pattern_renames_a_merged_group_whose_name_is_taken(
+    tmp_path, capsys, law, pattern, components, names
+):
+    data, pattern_path = tmp_path / "p.csv", tmp_path / "pat.txt"
+    save_dataset(simulate(law, 4000, 1), data)
+    pattern_path.write_text(pattern)
+    code = main(["suggest-pattern", "--data", str(data), "--pattern", str(pattern_path)])
+    assert code == 0
+    discovery = json.loads(capsys.readouterr().out)["discovery"]
+    assert discovery["components"] == components
+    suggested = discovery["pattern"].splitlines()
+    assert [line.split(":")[0].removeprefix("group ") for line in suggested] == names
 
 
 def _one_record_arm_panel():

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
@@ -17,12 +17,14 @@ from seqeffects import (
     UsageError,
     VarianceMode,
     build_constraints,
+    causal_net_effects,
     discover_pattern,
     expected_target_covariance,
     fit_net_effects,
     load_dataset,
     make_markov_dgp,
     net_effect_null_test,
+    parse_dgp,
     parse_pattern,
     point_effect_targets,
     pooled_outcome_variance,
@@ -33,6 +35,7 @@ from seqeffects import (
 )
 from seqeffects import estimation
 from helpers import (
+    TWO_LEVEL_DGP,
     complete_histories,
     constant_arm_panel,
     constraint_rows_reference,
@@ -41,6 +44,7 @@ from helpers import (
     pooled_outcome_variance_reference,
     random_panel,
     resampling_reference,
+    rule_files,
     standard_mean_equality_reference,
 )
 
@@ -118,6 +122,27 @@ def test_saturated_fit_reproduces_every_target_on_random_panels(seed, horizon, w
     scale = max(1.0, np.abs(estimates).max())
     np.testing.assert_allclose(fit.fitted, estimates, rtol=0, atol=1e-9 * scale)
     assert len(fit.to_dict()["fitted_net_effects"]) == len(targets) + len(skipped)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    law=rule_files(horizons=st.integers(1, 3), latents=st.just(False)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_saturated_fit_recovers_the_net_effects_of_a_noise_free_law(law, seed):
+    # Without noise or a latent class, and with effects that read only the
+    # history before their period, each arm's mean is its history's
+    # outcome, so the saturated fit's net effects are the law's own.
+    dgp = parse_dgp(law[0] + "sigma: 0\n")
+    d = simulate(dgp, 2000, seed)
+    assume(not point_effect_targets(d)[1])
+    fit = fit_net_effects(saturated_pattern(d), d, VarianceMode.known(1.0))
+    truth = causal_net_effects(dgp)
+    effects = fit.net_effect_estimates()
+    assert len(effects) == fit.rank
+    for effect in effects:
+        want = truth[effect.key]
+        assert abs(effect.value - want) <= 1e-9 * max(1.0, abs(want)), effect.key.label()
 
 
 def test_three_group_fit_on_the_reference_fixture(dref):
@@ -656,3 +681,42 @@ def test_discovery_rejects_a_level_outside_the_unit_interval(dref, alpha):
     fit = fit_net_effects(saturated_pattern(dref), dref, VarianceMode.estimated())
     with pytest.raises(UsageError, match="strictly between 0 and 1"):
         discover_pattern(fit, alpha=alpha)
+
+
+@pytest.mark.parametrize(
+    "text, components, names",
+    [
+        (
+            "group a: when t == 1\ngroup b: when t == 2\ngroup a_b: when t == 3\n",
+            [["a", "b"], ["a_b"]],
+            ("a_b_2", "a_b"),
+        ),
+        (
+            "group a: when t == 1\ngroup b_c: when t == 2\n"
+            "group a_b: when t == 3 and z[2] == 1\ngroup c: when t == 3\n",
+            [["a", "b_c"], ["a_b", "c"]],
+            ("a_b_c", "a_b_c_2"),
+        ),
+        (
+            "group a: when t == 1\ngroup b_c: when t == 2\n"
+            "group a_b: when t == 3 and z[2] == 1\ngroup c: when t == 3\n"
+            "term a_b_c: x[t - 1][1] * (t >= 2)\n",
+            [["a", "b_c"], ["a_b", "c"]],
+            ("a_b_c_2", "a_b_c_3", "a_b_c"),
+        ),
+    ],
+    ids=["unmerged-group", "two-merged-groups", "term-and-two-merged-groups"],
+)
+def test_a_merged_name_that_is_taken_gets_the_first_free_suffix(text, components, names):
+    d = simulate(parse_dgp(TWO_LEVEL_DGP), 4000, 1)
+    spec = parse_pattern(text)
+    report = discover_pattern(fit_net_effects(spec, d, VarianceMode.known(1.0)))
+    assert report.components == components
+    assert report.pattern.param_names == names
+    # the unmerged parameters keep their predicates and the refit is valid
+    kept = {p.name: p for p in (*spec.groups, *spec.terms)}
+    for param in (*report.pattern.groups, *report.pattern.terms):
+        if param.name in kept:
+            assert param == kept[param.name]
+    assert parse_pattern(report.pattern.to_text()).param_names == names
+    fit_net_effects(report.pattern, d, VarianceMode.known(1.0))

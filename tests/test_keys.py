@@ -104,7 +104,7 @@ markov_keys = st.builds(
 def test_label_matches_the_symbol_loop(key):
     want = label_reference(key)
     assert key.label() == want
-    assert key.label() == want  # the kept text
+    assert key.label() == want  # formatted afresh, the same text
     assert repr(key) == f"{type(key).__name__}<{want}>"
 
 
@@ -184,21 +184,13 @@ panels = st.builds(
 
 
 @settings(max_examples=100, deadline=None)
-@given(d=panels, markov=st.booleans(), data=st.data())
-def test_period_keys_match_the_eager_builder(d, markov, data):
+@given(d=panels, markov=st.booleans())
+def test_period_keys_match_the_eager_builder(d, markov):
     want = eager_period_keys(d, markov)
     periods = d.periods(markov)
-    assert [len(p.keys) for p in periods] == [len(w) for w in want]
-    # built on demand in any order, then kept
-    t = data.draw(st.integers(0, d.horizon - 1))
-    keys = periods[t].keys
-    for g in data.draw(st.permutations(range(len(keys)))):
-        assert keys[g] == want[t][g]
-        assert keys[g] is keys[g]
-        assert keys[g - len(keys)] is keys[g]
-    assert keys[1:] == tuple(want[t][1:])
+    assert [len(p.arms) for p in periods] == [len(w) for w in want]
     for period, w in zip(periods, want):
-        assert list(period.keys) == w
+        assert [period.key(g) for g in range(len(w))] == w
         assert period.labels(range(len(w))) == [key.label() for key in w]
-    with pytest.raises(IndexError):
-        keys[len(keys)]
+        with pytest.raises(IndexError):
+            period.key(len(w))

@@ -84,18 +84,17 @@ def test_full_loads_match_the_subtree_walk(d, size, seed):
     # loads are indexed by (period, arm); only target arms and controls are filled
     columns = list(zip(targets, targets.times.tolist(), targets.arms, targets.controls))
     needed = {(t, int(g)) for _, t, a, c in columns for g in (a, c)}
-    assert [load.shape for load in loads] == [(len(p.keys), size) for p in periods]
+    assert [load.shape for load in loads] == [(len(p.arms), size) for p in periods]
     assert filled_load_rows(loads) == needed
     for key, t, arm, control in columns:
-        keys = periods[t - 1].keys
-        assert keys[arm] == key
-        assert keys[control] == key.sibling(0)
+        assert periods[t - 1].key(arm) == key
+        assert periods[t - 1].key(control) == key.sibling(0)
     for t, g in needed:
-        key = periods[t - 1].keys[g]
+        key = periods[t - 1].key(g)
         want = downstream_walk(table, table.require(key), key, values.__getitem__)
         scale = max(1.0, float(np.max(np.abs(want))))
         np.testing.assert_allclose(loads[t - 1][g], want, rtol=0, atol=1e-12 * scale)
-    needed = {periods[t - 1].keys[g] for t, g in needed}
+    needed = {periods[t - 1].key(g) for t, g in needed}
     # once per arm, and only at arms strictly below a target arm or control
     assert len(calls) == len(set(calls))
     for key in calls:
@@ -110,8 +109,9 @@ def test_full_arms_list_their_records_in_history_order(d):
     table = d.table
     order = history_order(d)
     for t, period in enumerate(d.periods(False), start=1):
-        assert [key for key, _ in table.level(2 * t - 1)] == list(period.keys)
-        for g, key in enumerate(period.keys):
+        keys = [period.key(g) for g in range(len(period.arms))]
+        assert [key for key, _ in table.level(2 * t - 1)] == keys
+        for g, key in enumerate(keys):
             mask = prefix_mask(d, key)
             assert np.array_equal(period.codes == g, mask)
             assert period.values(g).tobytes() == d.y[order[mask[order]]].tobytes()

@@ -155,7 +155,7 @@ def side_sums(d, spec):
     columns = zip(targets.times.tolist(), targets.arms.tolist(), targets.controls.tolist())
     needed = {(t, g) for t, a, c in columns for g in (a, c)}
     assert filled_load_rows(loads) == needed
-    got = {periods[t - 1].keys[g]: loads[t - 1][g] for t, g in needed}
+    got = {periods[t - 1].key(g): loads[t - 1][g] for t, g in needed}
     return got, set(targets) | {key.sibling(0) for key in targets}
 
 

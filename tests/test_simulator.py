@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from helpers import (
     causal_net_effects_reference,
+    rule_files,
     dataset_from_table_reference,
     law_table,
     reference_fixture_reference,
@@ -164,50 +164,6 @@ def test_a_non_finite_sigma_is_rejected_by_name():
     for text in ("nan", "inf"):
         with pytest.raises(DgpError, match=f"^sigma must be finite, not {text}$"):
             parse_dgp(f"horizon: 1\nsigma: {text}\nassign: 0.5\neffect: 1\n")
-
-
-@st.composite
-def rule_files(draw):
-    """Random rule files whose assignment stays inside (0, 1) and whose
-    covariate probability stays inside [0, 1]: every law they describe
-    is valid. With a latent class, rules may read u, and the latent
-    lines may come after the rules."""
-    horizon = draw(st.integers(1, 4))
-    latent = draw(st.booleans())
-    reads = ["z[t-1]", "x[t-1][1]"] + (["u"] if latent else [])
-    conditions = ["t == 1", "t >= 2", "z[t-1] == 1", "x[t-1][1] == 0"]
-    conditions += ["u == 1"] if latent else []
-
-    def hundredths(lo, hi):
-        return draw(st.integers(lo, hi)) / 100
-
-    def linear(base, coef, names, terms):
-        text = f"{hundredths(*base)}"
-        for name in draw(st.lists(st.sampled_from(names), max_size=terms, unique=True)):
-            text += f" + {hundredths(*coef)} * {name}"
-        return text
-
-    def rules(kind, value, default):
-        out = []
-        for condition in draw(st.lists(st.sampled_from(conditions), max_size=2)):
-            out.append(f"{kind} when {condition}: {value()}")
-        if default or draw(st.booleans()):
-            out.append(f"{kind}: {value()}")
-        return out
-
-    lines = rules("assign", lambda: linear((35, 65), (-15, 15), reads, 2), True)
-    lines += rules("covariate", lambda: linear((20, 80), (-20, 20), reads + ["z[t]"], 1), False)
-    lines += rules("effect", lambda: linear((-3000, 3000), (-1000, 1000), reads, 2), False)
-    scalars = [f"horizon: {horizon}", f"base: {hundredths(-5000, 5000)}"]
-    if latent:
-        latent_lines = [f"latent prob: {hundredths(5, 95)}"]
-        if draw(st.booleans()):
-            latent_lines.append(f"latent shift: {hundredths(-1000, 1000)}")
-        if draw(st.booleans()):
-            lines += latent_lines
-        else:
-            scalars += latent_lines
-    return "\n".join(scalars + lines) + "\n", latent
 
 
 @settings(max_examples=150, deadline=None)

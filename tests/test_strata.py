@@ -1,12 +1,18 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    _mean_reference,
+    _mean_variance_reference,
     expected_covariance_blocks_reference,
     null_test_blocks_reference,
     point_effect_targets_reference,
+    pooled_outcome_variance_reference,
     random_panel,
     resampled_estimates_reference,
 )
@@ -20,8 +26,10 @@ from seqeffects import (
     expected_target_covariance,
     net_effect_null_test,
     point_effect_targets,
+    pooled_outcome_variance,
     resampling_diagnostic,
 )
+from seqeffects.strata import _mean_variances
 
 
 def test_variance_modes(d16):
@@ -52,8 +60,8 @@ def test_known_variance_must_be_positive_and_finite(text):
 def test_period_arms_list_record_indices(d16):
     period = d16.periods(False)[1]
     idx = set()
-    for g, key in enumerate(period.keys):
-        if key.parent_stratum() == StratumKey((1,), ((1,),)):
+    for g in range(len(period.arms)):
+        if period.key(g).parent_stratum() == StratumKey((1,), ((1,),)):
             idx.update(np.flatnonzero(period.codes == g).tolist())
     assert idx == {12, 13, 14, 15}
     for i in idx:
@@ -205,3 +213,61 @@ def test_target_arrays_match_the_per_target_reference(d, markov, mode, seed):
         report = resampling_diagnostic(d, reps=3, seed=seed, sigma2=sigma2)
         est = resampled_estimates_reference(d, 3, seed, sigma2)
         assert report.empirical.tobytes() == np.cov(est, rowvar=False).reshape(m, m).tobytes()
+
+
+# Arm lengths on both sides of the 8-element blocks that pairwise summation
+# unrolls and of its 128-element leaves.
+ARM_LENGTHS = [1, 2, 8, 9, 128, 129, 300]
+
+
+def _one_arm_per_length():
+    """T = 1: an arm of each of `ARM_LENGTHS`, and two more arms, of 9 and
+    300 records, whose outcomes are all equal, records shuffled."""
+    rng = np.random.default_rng(23)
+    lengths = ARM_LENGTHS + [9, 300]
+    z = np.repeat(np.arange(len(lengths)), lengths)[:, None]
+    y = rng.normal(100.0, 10.0, len(z))
+    y[z[:, 0] == len(ARM_LENGTHS)] = 0.1
+    y[z[:, 0] == len(ARM_LENGTHS) + 1] = 1 / 3
+    order = rng.permutation(len(z))
+    return Dataset(z[order], None, y[order], [f"u{i}" for i in range(len(z))])
+
+
+def _arms_of_one_length():
+    """T = 2, binary z1, x1 and z2: every period-2 arm holds 129 records."""
+    rng = np.random.default_rng(29)
+    cells = np.repeat(np.array(list(itertools.product((0, 1), repeat=3))), 129, axis=0)
+    order = rng.permutation(len(cells))
+    z, x = cells[order][:, [0, 2]], cells[order][:, 1].reshape(-1, 1, 1)
+    y = rng.normal(-3.0, 7.0, len(cells))
+    return Dataset(z, x, y, [f"u{i}" for i in range(len(cells))])
+
+
+@pytest.mark.parametrize(
+    "d", [_one_arm_per_length(), _arms_of_one_length()], ids=["lengths", "one-length"]
+)
+def test_arm_statistics_are_the_bits_of_one_arm_at_a_time(d):
+    for markov in (False, True):
+        for period in d.periods(markov):
+            values = [period.values(g) for g in range(len(period.arms))]
+            want = np.array([_mean_reference(v) for v in values])
+            assert period.means.tobytes() == want.tobytes()
+            # an arm listed several times, as shared controls are
+            index = np.r_[np.arange(len(values)), np.arange(len(values))[::-1]]
+            for mode in (VarianceMode.known(2.5), VarianceMode.estimated()):
+                want = []
+                for g in index.tolist():
+                    try:
+                        want.append(_mean_variance_reference(values[g], mode))
+                    except EstimabilityError:
+                        want.append(math.inf)
+                got = _mean_variances(period, index, mode)
+                assert got.tobytes() == np.array(want).tobytes()
+    assert pooled_outcome_variance(d) == pooled_outcome_variance_reference(d)
+
+
+def test_the_arm_statistics_panels_hold_the_lengths_they_name():
+    (period,) = _one_arm_per_length().periods(False)
+    assert period.counts.tolist() == ARM_LENGTHS + [9, 300]
+    assert _mean_variances(period, np.arange(9), VarianceMode.estimated())[-2:].tolist() == [0.0, 0.0]
+    assert set(_arms_of_one_length().periods(False)[1].counts.tolist()) == {129}
