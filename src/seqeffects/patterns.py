@@ -310,7 +310,9 @@ def build_constraints(
     variances = targets.variances(variance_mode)
     usable = np.isfinite(variances) & (variances > 0.0)
     weights = np.zeros(len(targets))
-    weights[usable] = 1.0 / variances[usable]
+    # An overflowing weight fails once, in the fit's matrix check.
+    with np.errstate(over="ignore"):
+        weights[usable] = 1.0 / variances[usable]
     notes = [
         None if ok
         else "zero variance estimate" if math.isfinite(v)

@@ -12,6 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -37,7 +38,8 @@ from seqeffects import (
 )
 from seqeffects.dataset import _parse_header
 from seqeffects.estimation import FlaggedPair
-from seqeffects.patterns import _downstream_loads, _unidentified
+from seqeffects.exprlang import compile_expr
+from seqeffects.patterns import PatternGroup, PatternSpec, _downstream_loads, _unidentified
 from seqeffects.simulator import (
     _assignment_prob,
     _history_arrays,
@@ -1278,3 +1280,75 @@ def reference_fixture_reference():
         (z, x, list(mean + _spread_offsets(count, 4.0))) for z, x, count, mean in cells
     ]
     return _dataset_from_cells_reference(expanded)
+
+
+def discover_pattern_reference(fit, alpha):
+    """`discover_pattern`'s report as a dict, one group pair at a time.
+
+    Each pair's z comes from scalar arithmetic, the pairs are sorted as
+    (z, i, j) tuples and every pair is one step, as the library did
+    before it held its steps as columns.
+    """
+    spec = fit.pattern
+    g = len(spec.groups)
+    critical = NormalDist().inv_cdf(1.0 - alpha / 2.0)
+    pairs = []
+    for i in range(g):
+        for j in range(i + 1, g):
+            diff = fit.params[i] - fit.params[j]
+            denom = (
+                fit.covariance[i, i]
+                + fit.covariance[j, j]
+                - 2.0 * fit.covariance[i, j]
+            )
+            if denom <= 0.0:
+                z = 0.0 if abs(diff) < 1e-12 else math.inf
+            else:
+                z = abs(diff) / math.sqrt(denom)
+            pairs.append((z, i, j))
+    pairs.sort(key=lambda p: (p[0], p[1], p[2]))
+    parent = list(range(g))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    steps = []
+    for z, i, j in pairs:
+        merged = False
+        if z < critical:
+            ri, rj = find(i), find(j)
+            merged = ri != rj
+            if merged:
+                parent[max(ri, rj)] = min(ri, rj)
+        pair = [spec.groups[i].name, spec.groups[j].name]
+        steps.append({"pair": pair, "z": z, "merged": merged})
+    components = {}
+    for i in range(g):
+        components.setdefault(find(i), []).append(i)
+    ordered = [components[r] for r in sorted(components)]
+    taken = {spec.groups[m[0]].name for m in ordered if len(m) == 1}
+    taken.update(term.name for term in spec.terms)
+    groups = []
+    for members in ordered:
+        if len(members) == 1:
+            groups.append(spec.groups[members[0]])
+            continue
+        name = joined = "_".join(spec.groups[i].name for i in members)
+        suffix = 2
+        while name in taken:
+            name = f"{joined}_{suffix}"
+            suffix += 1
+        taken.add(name)
+        text = " or ".join(f"({spec.groups[i].predicate.text})" for i in members)
+        groups.append(PatternGroup(name, compile_expr(text, {"t", "T"})))
+    return {
+        "schema_version": 1,
+        "alpha": alpha,
+        "critical_z": critical,
+        "steps": steps,
+        "components": [[spec.groups[i].name for i in members] for members in ordered],
+        "pattern": PatternSpec(tuple(groups), spec.terms).to_text(),
+    }

@@ -310,6 +310,55 @@ def test_a_weighted_coefficient_that_overflows_writes_only_the_error(
     ])
 
 
+@pytest.mark.parametrize("command", ["estimate", "suggest-pattern"])
+@pytest.mark.parametrize(
+    "term, error",
+    [
+        # Squared, the term's singular value underflows to 0.
+        (
+            "term tiny: 1e-170 * z[t-1]",
+            "error: the variance of parameter 'tiny' is not finite (inf): "
+            "its scale is too far from the other parameters'",
+        ),
+        # Beside the term's, the groups' singular values are lost.
+        (
+            "term w: 1e160 * z[t-1]",
+            "error: the variance of parameter 'w' is not finite (nan): "
+            "its scale is too far from the other parameters'",
+        ),
+    ],
+    ids=["tiny-term", "huge-term"],
+)
+def test_a_covariance_that_overflows_writes_only_the_error(
+    tmp_path, markov3_csv, command, term, error
+):
+    pattern = write(
+        tmp_path, "pat.txt",
+        f"group a: when t == 1\ngroup b: when t == 2\ngroup c: when t == 3\n{term}\n",
+    )
+    out = tmp_path / "report.json"
+    argv = [command, "--data", markov3_csv, "--pattern", pattern, "--out", str(out)]
+    assert run_cli(*argv) == (2, [error])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "suggest-pattern"])
+def test_a_weight_that_overflows_writes_only_the_error(tmp_path, markov3_csv, command):
+    pattern = write(tmp_path, "pat.txt", "group g1: when t == 1\ngroup g2: when t >= 2\n")
+    argv = [command, "--data", markov3_csv, "--pattern", pattern, "--variance-mode", "known:1e-320"]
+    assert run_cli(*argv) == (2, [
+        "error: target z1=1: the weighted coefficient of parameter 'g1' is not finite "
+        "(inf): the target's weight makes it overflow"
+    ])
+
+
+def test_suggest_pattern_rejects_a_level_whose_critical_z_is_infinite(markov3_csv):
+    assert run_cli("suggest-pattern", "--data", markov3_csv, "--alpha", "1e-300") == (1, [
+        "error: alpha must be at least 1.1102230246251568e-16, not 1e-300: "
+        "below it the critical z is infinite in double precision"
+    ])
+
+
 def test_diagnose_negative_seed_exits_one(tmp_path, ref_csv, capsys):
     out = tmp_path / "diag.json"
     assert main(["diagnose", "--data", ref_csv, "--seed", "-2", "--out", str(out)]) == 1

@@ -2,6 +2,7 @@ import io
 import json
 import logging
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from seqeffects import (
     DiagnosticError,
     EstimabilityError,
     IdentifiabilityError,
+    PatternError,
+    SeqEffectsError,
     UsageError,
     VarianceMode,
     build_constraints,
@@ -39,6 +42,7 @@ from helpers import (
     complete_histories,
     constant_arm_panel,
     constraint_rows_reference,
+    discover_pattern_reference,
     expected_covariance_reference,
     null_statistic_reference,
     pooled_outcome_variance_reference,
@@ -126,15 +130,16 @@ def test_saturated_fit_reproduces_every_target_on_random_panels(seed, horizon, w
 
 @settings(max_examples=100, deadline=None)
 @given(
-    law=rule_files(horizons=st.integers(1, 3), latents=st.just(False)),
+    law=rule_files(horizons=st.integers(1, 4), latents=st.just(False)),
+    n=st.integers(500, 4000),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_the_saturated_fit_recovers_the_net_effects_of_a_noise_free_law(law, seed):
+def test_the_saturated_fit_recovers_the_net_effects_of_a_noise_free_law(law, n, seed):
     # Without noise or a latent class, and with effects that read only the
     # history before their period, each arm's mean is its history's
     # outcome, so the saturated fit's net effects are the law's own.
     dgp = parse_dgp(law[0] + "sigma: 0\n")
-    d = simulate(dgp, 2000, seed)
+    d = simulate(dgp, n, seed)
     assume(not point_effect_targets(d)[1])
     fit = fit_net_effects(saturated_pattern(d), d, VarianceMode.known(1.0))
     truth = causal_net_effects(dgp)
@@ -143,6 +148,42 @@ def test_the_saturated_fit_recovers_the_net_effects_of_a_noise_free_law(law, see
     for effect in effects:
         want = truth[effect.key]
         assert abs(effect.value - want) <= 1e-9 * max(1.0, abs(want)), effect.key.label()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    law=rule_files(horizons=st.integers(1, 4), latents=st.just(False)),
+    coefficients=st.lists(
+        st.tuples(st.integers(-3000, 3000), st.integers(-1000, 1000)), min_size=4, max_size=4
+    ),
+    n=st.integers(500, 4000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_pattern_that_holds_returns_its_parameters(law, coefficients, n, seed):
+    # The law's effect at period k is a_k + b_k * z[k-1] (a_1 alone at
+    # k = 1), so its net effects follow that pattern, and a noise-free
+    # full-history fit of the pattern returns the drawn coefficients.
+    horizon = int(law[0].split("\n", 1)[0].removeprefix("horizon: "))
+    rules = [line for line in law[0].splitlines() if not line.startswith("effect")]
+    pattern = []
+    truth = {}
+    for k, (a, b) in enumerate(coefficients[:horizon], start=1):
+        truth[f"a{k}"] = a / 100
+        pattern.append(f"group a{k}: when t == {k}")
+        effect = f"{a / 100}"
+        if k >= 2:
+            truth[f"b{k}"] = b / 100
+            pattern.append(f"term b{k}: (t == {k}) * z[t-1]")
+            effect += f" + {b / 100} * z[t-1]"
+        rules.append(f"effect when t == {k}: {effect}")
+    d = simulate(parse_dgp("\n".join(rules) + "\nsigma: 0\n"), n, seed)
+    try:
+        fit = fit_net_effects(parse_pattern("\n".join(pattern) + "\n"), d, VarianceMode.known(1.0))
+    except IdentifiabilityError:
+        assume(False)
+    for name, value in zip(fit.param_names, fit.params.tolist()):
+        want = truth[name]
+        assert abs(value - want) <= 1e-9 * max(1.0, abs(want)), name
 
 
 def test_three_group_fit_on_the_reference_fixture(dref):
@@ -681,6 +722,133 @@ def test_discovery_rejects_a_level_outside_the_unit_interval(dref, alpha):
     fit = fit_net_effects(saturated_pattern(dref), dref, VarianceMode.estimated())
     with pytest.raises(UsageError, match="strictly between 0 and 1"):
         discover_pattern(fit, alpha=alpha)
+
+
+@pytest.mark.parametrize(
+    "term, name",
+    [("tiny: 1e-170 * z[t-1]", "tiny"), ("w: 1e160 * z[t-1]", "w")],
+    ids=["tiny-term", "huge-term"],
+)
+def test_a_covariance_that_overflows_is_refused(term, name):
+    d = simulate(make_markov_dgp(3), 2000, 1)
+    spec = parse_pattern(
+        f"group a: when t == 1\ngroup b: when t == 2\ngroup c: when t == 3\nterm {term}\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PatternError, match=f"the variance of parameter '{name}' is not finite"):
+            fit_net_effects(spec, d, VarianceMode.known(1.0))
+
+
+@pytest.mark.parametrize("alpha", [1e-300, 2.0**-53])
+def test_discovery_rejects_a_level_whose_critical_z_is_infinite(dref, alpha):
+    fit = fit_net_effects(saturated_pattern(dref), dref, VarianceMode.estimated())
+    with pytest.raises(UsageError, match=r"alpha must be at least 1\.1102230246251568e-16"):
+        discover_pattern(fit, alpha=alpha)
+    smallest = discover_pattern(fit, alpha=estimation._MIN_ALPHA)
+    assert smallest.critical == 8.209536151601386
+
+
+def stand_in_fit(params, covariance):
+    """What `discover_pattern` reads of a fit, for one group per estimate."""
+    text = "".join(f"group g{i}: when t == {i}\n" for i in range(1, len(params) + 1))
+    return SimpleNamespace(
+        pattern=parse_pattern(text),
+        params=np.asarray(params, dtype=float),
+        covariance=np.asarray(covariance, dtype=float),
+    )
+
+
+@pytest.mark.parametrize(
+    "params, covariance",
+    [
+        ([1.0, np.nan], np.eye(2)),
+        ([1.0, 2.0], [[1.0, 0.0], [0.0, np.inf]]),
+        ([1.0, 2.0], [[1.0, np.nan], [np.nan, 1.0]]),
+    ],
+    ids=["nan-estimate", "inf-variance", "nan-covariance"],
+)
+def test_discovery_refuses_a_fit_that_is_not_finite(params, covariance):
+    with pytest.raises(DiagnosticError, match="needs finite group estimates and covariances"):
+        discover_pattern(stand_in_fit(params, covariance))
+
+
+def test_discovery_refuses_a_difference_whose_variance_overflows():
+    # 1e308 + 1e308 and 2 * 1e308 both overflow, and inf - inf is nan.
+    fit = stand_in_fit([1.0, 2.0], np.full((2, 2), 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DiagnosticError, match="a group difference or its variance overflows"):
+            discover_pattern(fit)
+
+
+def test_discovery_warns_before_its_report_grows(caplog, monkeypatch):
+    fit = stand_in_fit(np.arange(10.0), np.eye(10))
+    quiet = discover_pattern(fit).to_json()
+    # 45 pairs, each 25 bytes of columns and twice its 138 bytes of text
+    size = 45 * (25 + 2 * 138)
+    monkeypatch.setattr(estimation, "_DENSE_WARN_BYTES", size - 1)
+    with caplog.at_level(logging.WARNING):
+        loud = discover_pattern(fit).to_json()
+    assert [r.getMessage() for r in caplog.records] == [
+        "10 groups: pattern discovery lists all 45 group pairs; they and "
+        "their report take about 13545 bytes"
+    ]
+    assert loud == quiet
+    monkeypatch.setattr(estimation, "_DENSE_WARN_BYTES", size)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        discover_pattern(fit)
+    assert not caplog.records
+
+
+def assert_discovery_matches_the_pair_loop(fit, alpha):
+    report = discover_pattern(fit, alpha)
+    # JSON text holds each z's repr, so equal text is equal bits.
+    assert json.dumps(report.to_dict()) == json.dumps(discover_pattern_reference(fit, alpha))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    law=rule_files(horizons=st.integers(2, 3)),
+    seed=st.integers(0, 2**32 - 1),
+    markov=st.booleans(),
+    estimated=st.booleans(),
+    alpha=st.sampled_from([0.05, 0.5, 1e-6]),
+)
+def test_discovery_matches_the_pair_loop_on_random_fits(law, seed, markov, estimated, alpha):
+    d = simulate(parse_dgp(law[0]), 400, seed)
+    mode = VarianceMode.estimated() if estimated else VarianceMode.known(1.0)
+    try:
+        fit = fit_net_effects(saturated_pattern(d, markov=markov), d, mode, markov=markov)
+    except SeqEffectsError:
+        assume(False)
+    assume(len(fit.pattern.groups) >= 2)
+    assert_discovery_matches_the_pair_loop(fit, alpha)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    g=st.integers(2, 60),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.sampled_from([0.05, 0.5, 1e-6]),
+)
+def test_discovery_matches_the_pair_loop_on_synthetic_fits(g, seed, alpha):
+    rng = np.random.default_rng(seed)
+    # Groups that share a factor row have bit-equal variances and
+    # covariance, so their pair's denominator is exactly 0: z is 0.0 for
+    # estimates closer than 1e-12 and inf otherwise. Zero rows do the same,
+    # and a few distinct estimates give ties at z = 0.0 between other pairs.
+    h = int(rng.integers(1, g + 1))
+    factor = rng.normal(size=(h, int(rng.integers(1, h + 1))))
+    factor *= rng.choice([1e-3, 1.0, 1e3], size=(h, 1))
+    factor[rng.random(h) < 0.2] = 0.0
+    rows = rng.integers(0, h, size=g)
+    covariance = (factor @ factor.T)[np.ix_(rows, rows)]
+    distinct = np.round(rng.normal(scale=3.0, size=int(rng.integers(1, g + 1))), 1)
+    params = rng.choice(distinct, size=g)
+    params += np.where(rng.random(g) < 0.2, rng.choice([5e-13, 2e-12], size=g), 0.0)
+    assert_discovery_matches_the_pair_loop(stand_in_fit(params, covariance), alpha)
 
 
 @pytest.mark.parametrize(
