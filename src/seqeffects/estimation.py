@@ -265,6 +265,7 @@ def fit_net_effects(
     U, S, Vt = np.linalg.svd(A, full_matrices=False)
     rank = int(np.sum(S > _RANK_RTOL * S[0]))
     k = spec.size
+    scale = np.ones(k)
     if rank < k:
         # A parameter's units must not decide whether it is identified:
         # test again on unit-norm columns (a zero column keeps scale 1).
@@ -275,11 +276,11 @@ def fit_net_effects(
         peak[peak == 0.0] = 1.0
         scale = peak * np.linalg.norm(A / peak, axis=0)
         scale[scale == 0.0] = 1.0
-        _, S_unit, V_unit = np.linalg.svd(A / scale, full_matrices=len(A) < k)
-        rank = int(np.sum(S_unit > _RANK_RTOL * S_unit[0]))
+        U, S, Vt = np.linalg.svd(A / scale, full_matrices=len(A) < k)
+        rank = int(np.sum(S > _RANK_RTOL * S[0]))
     if rank < k:
         # The unit-norm null space in parameter units, orthonormal again.
-        null_space = np.linalg.qr((V_unit[rank:] / scale).T)[0].T
+        null_space = np.linalg.qr((Vt[rank:] / scale).T)[0].T
         names = spec.param_names
         raise IdentifiabilityError(
             f"only {rank} of {k} pattern parameters are identified by "
@@ -287,18 +288,21 @@ def fit_net_effects(
             + "; ".join(_combination(v, names) for v in null_space),
             null_space=null_space,
         )
-    # Parameters whose scales lie too far apart overflow here, not in the report.
+    # Solve in the basis whose SVD found full rank, scaled back to parameter
+    # units (exactly, by ones, in the raw basis). Parameters whose scales lie
+    # too far apart overflow or underflow here.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        params = Vt.T @ ((U.T @ (b * sqrt_w)) / S)
-        covariance = (Vt.T / S**2) @ Vt
-    if not np.isfinite(covariance).all():
+        params = Vt.T @ ((U.T @ (b * sqrt_w)) / S) / scale
+        covariance = (Vt.T / S**2) @ Vt / np.outer(scale, scale)
+    finite = np.isfinite(covariance).all()
+    if not (finite and np.diag(covariance).min() >= np.finfo(float).tiny):
         # Name the parameter whose column's scale lies farthest from the rest.
-        scale = np.log(np.abs(A).max(axis=0))
-        j = int(np.argmax(np.abs(scale - np.median(scale))))
+        log_peak = np.log(np.abs(A).max(axis=0))
+        j = int(np.argmax(np.abs(log_peak - np.median(log_peak))))
         raise PatternError(
-            f"the variance of parameter {spec.param_names[j]!r} is not finite "
-            f"({float(covariance[j, j])!r}): its scale is too far from the other "
-            "parameters'"
+            f"the variance of parameter {spec.param_names[j]!r} "
+            f"{'underflows' if finite else 'is not finite'} ({float(covariance[j, j])!r}): "
+            "its scale is too far from the other parameters'"
         )
     fitted = C @ params
     residuals = b - fitted

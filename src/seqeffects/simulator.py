@@ -3,13 +3,14 @@
 A DgpSpec describes one law: a treatment assignment probability, a
 covariate kernel, an outcome mean surface, outcome noise, and optionally
 a two-class latent mixture. Everything downstream works off an exact
-enumeration of the law's support, so population tables, simulated
-samples, and causal ground truth all come from the same object and agree
+enumeration of the law's support, held as read-only columns (`u`, `z`,
+`x`, `prob`, `mean`, a row per cell), so population tables, simulated
+samples, and causal ground truth all read the same arrays and agree
 with each other by construction.
 
 The causal ground truth is computed by forcing: condition the latent
-class on the observed history (each stratum's law with the class is read
-off the support listing), force the focal arm, then force every later
+class on the observed history (each stratum's law with the class is
+summed from the support columns), force the focal arm, then force every later
 treatment to control while covariates keep evolving. When the
 assignment never reads the latent class this matches the backward
 recursion on the population table; when it does, the gap between the two
@@ -20,9 +21,11 @@ tests.
 from __future__ import annotations
 
 import math
+from array import array
+from numbers import Real
 from dataclasses import dataclass, field
 from itertools import islice, product
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,7 +63,7 @@ class DgpSpec:
     sigma: float = 1.0
     covariate_width: int = 1
     latent_prob: float = 0.0
-    _support: "list[SupportCell] | None" = field(
+    _support: "Support | None" = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -77,91 +80,92 @@ class DgpSpec:
             raise DgpError("latent probability must be in [0, 1)")
 
 
-@dataclass(frozen=True)
-class SupportCell:
-    """One full history with positive probability, for one latent class."""
+class Support(NamedTuple):
+    """A law's support as read-only columns, a row per cell."""
 
-    u: int
-    treatments: tuple[int, ...]
-    covariates: tuple[Covariate, ...]
-    prob: float
-    mean: float
+    u: np.ndarray  # (cells,)
+    z: np.ndarray  # (cells, T)
+    x: np.ndarray  # (cells, T - 1, w)
+    prob: np.ndarray  # (cells,)
+    mean: np.ndarray  # (cells,)
 
 
 def _assignment_prob(dgp: DgpSpec, t, z, x, u) -> float:
     p = dgp.assignment(t, z, x, u)
-    if not (isinstance(p, (int, float)) and 0.0 < p < 1.0):
-        raise DgpError(
-            f"assignment probability {p!r} at time {t} given z={z} x={x} u={u} "
-            "is not strictly between 0 and 1"
-        )
-    return float(p)
+    if isinstance(p, Real) and 0.0 < p < 1.0:
+        return float(p)
+    why = "is not strictly between 0 and 1"
+    if not isinstance(p, Real):
+        why = f"is a {type(p).__name__}, not a real number"
+    raise DgpError(f"assignment probability {p!r} at time {t} given z={z} x={x} u={u} {why}")
 
 
 def _kernel_dist(dgp: DgpSpec, t, z, x, u) -> list[tuple[Covariate, float]]:
     dist = dgp.covariate_kernel(t, z, x, u)
-    total = 0.0
-    out = []
+    total, out, width = 0.0, [], dgp.covariate_width
     for vec, p in sorted(dist.items()):
         vec = tuple(int(v) for v in vec)
-        if len(vec) != dgp.covariate_width or any(v < 0 for v in vec):
-            raise DgpError(
-                f"covariate value {vec} at time {t} does not fit width "
-                f"{dgp.covariate_width}"
-            )
+        if len(vec) != width:
+            raise DgpError(f"covariate value {vec} at time {t} does not fit width {width}")
+        if min(vec) < 0:
+            raise DgpError(f"covariate value {vec} at time {t} has a negative component")
         if p < 0:
             raise DgpError(f"negative covariate probability at time {t}")
         total += p
         if p > 0:
             out.append((vec, float(p)))
     if abs(total - 1.0) > _KERNEL_SUM_TOL:
-        raise DgpError(
-            f"covariate kernel at time {t} given z={z} x={x} u={u} sums to {total!r}"
-        )
+        raise DgpError(f"covariate kernel at time {t} given z={z} x={x} u={u} sums to {total!r}")
     return out
 
 
-def enumerate_support(dgp: DgpSpec) -> list[SupportCell]:
-    """All (latent class, history) cells with their joint probabilities.
+def enumerate_support(dgp: DgpSpec) -> Support:
+    """All (latent class, full history) cells with positive probability, in
+    the order of the walk, with their joint probabilities and means.
 
     Cached on the DgpSpec, since replication loops call this per draw.
     """
     if dgp._support is not None:
         return dgp._support
+    classes = [(0, 1.0)]
     if dgp.latent_prob > 0.0:
         classes = [(0, 1.0 - dgp.latent_prob), (1, dgp.latent_prob)]
-    else:
-        classes = [(0, 1.0)]
-    cells: list[SupportCell] = []
+    T, w = dgp.horizon, dgp.covariate_width
+    # Typed buffers hold 8 bytes a value and become the columns without a copy.
+    us, probs, means, zs, xs = array("q"), array("d"), array("d"), array("q"), array("q")
 
-    def walk(u, t, z, x, prob):
+    def walk(u, t, z, x, flat_x, prob):
         p1 = _assignment_prob(dgp, t, z, x, u)
         for zt, pz in ((0, 1.0 - p1), (1, p1)):
             z2 = z + (zt,)
-            if t == dgp.horizon:
+            if t == T:
                 mean = float(dgp.outcome_mean(z2, x, u))
                 if not math.isfinite(mean):
                     raise DgpError(f"outcome mean is not finite at z={z2} x={x} u={u}")
-                cells.append(SupportCell(u, z2, x, prob * pz, mean))
+                us.append(u)
+                probs.append(prob * pz)
+                means.append(mean)
+                zs.extend(z2)
+                xs.extend(flat_x)
                 continue
             for vec, pv in _kernel_dist(dgp, t, z2, x, u):
-                walk(u, t + 1, z2, x + (vec,), prob * pz * pv)
+                walk(u, t + 1, z2, x + (vec,), flat_x + vec, prob * pz * pv)
 
-    for u, w in classes:
-        walk(u, 1, (), (), w)
-    dgp._support = cells
-    return cells
+    for u, mass in classes:
+        walk(u, 1, (), (), (), mass)
+    u, prob, mean, z, x = (np.frombuffer(c, c.typecode) for c in (us, probs, means, zs, xs))
+    support = Support(u, z.reshape(len(u), T), x.reshape(len(u), T - 1, w), prob, mean)
+    for column in support:
+        column.flags.writeable = False
+    dgp._support = support
+    return support
 
 
 def population_table(dgp: DgpSpec) -> MeanTable:
     """The law's exact mean table, marginalized over the latent class: each
     support cell enters as a record weighted by its probability."""
-    cells = enumerate_support(dgp)
-    z, x = _history_arrays(
-        [(c.treatments, c.covariates) for c in cells], dgp.horizon, dgp.covariate_width
-    )
-    y, weights = np.array([[c.mean, c.prob] for c in cells]).T
-    return MeanTable.from_arrays(z, x, y, weights)
+    s = enumerate_support(dgp)
+    return MeanTable.from_arrays(s.z, s.x, s.mean, s.prob)
 
 
 def simulate(dgp: DgpSpec, n: int, seed: int) -> Dataset:
@@ -170,26 +174,17 @@ def simulate(dgp: DgpSpec, n: int, seed: int) -> Dataset:
         raise DgpError("sample size must be at least 1")
     if seed < 0:
         raise DgpError(f"seed must be at least 0, not {seed}")
-    cells = enumerate_support(dgp)
-    probs = np.array([c.prob for c in cells])
-    probs = probs / probs.sum()
+    s = enumerate_support(dgp)
     rng = np.random.default_rng(seed)
-    counts = rng.multinomial(n, probs)
-    T, w = dgp.horizon, dgp.covariate_width
-    z = np.empty((n, T), dtype=np.int64)
-    x = np.empty((n, T - 1, w), dtype=np.int64)
-    y = np.empty(n)
+    counts = rng.multinomial(n, s.prob / s.prob.sum())
+    z, x, y = (np.empty((n, *c.shape[1:]), c.dtype) for c in (s.z, s.x, s.mean))
     pos = 0
-    for cell, count in zip(cells, counts):
-        if count == 0:
-            continue
-        z[pos : pos + count] = cell.treatments
-        if T > 1:
-            x[pos : pos + count] = cell.covariates
-        y[pos : pos + count] = cell.mean
+    for i in np.flatnonzero(counts):
+        end = pos + counts[i]
+        z[pos:end], x[pos:end], y[pos:end] = s.z[i], s.x[i], s.mean[i]
         if dgp.sigma > 0:
-            y[pos : pos + count] += dgp.sigma * rng.standard_normal(count)
-        pos += count
+            y[pos:end] += dgp.sigma * rng.standard_normal(counts[i])
+        pos = end
     perm = rng.permutation(n)
     return Dataset(z[perm], x[perm], y[perm], _sample_ids(n))
 
@@ -219,20 +214,26 @@ def causal_net_effects(dgp: DgpSpec) -> dict[StratumKey, float]:
             total += pv * forced_value(u, t + 1, z + (0,), x + (vec,))
         return total
 
-    cells = enumerate_support(dgp)
+    s = enumerate_support(dgp)
+    n, w = len(s.u), dgp.covariate_width
     effects: dict[StratumKey, float] = {}
     for t in range(1, T + 1):
-        # Each stratum's joint law with the latent class: its cells' sum.
-        strata: dict[tuple, dict[int, float]] = {}
-        for cell in cells:
-            joint = strata.setdefault((cell.treatments[: t - 1], cell.covariates[: t - 1]), {})
-            joint[cell.u] = joint.get(cell.u, 0.0) + cell.prob
-        for (z, x), joint in sorted(strata.items()):
-            total = sum(joint.values())
-            contrast = 0.0
-            for u, pu in joint.items():
-                forced = [forced_value(u, t, z + (arm,), x) for arm in (0, 1)]
-                contrast += (pu / total) * (forced[1] - forced[0])
+        # Each stratum's joint law with u: a stable sort by prefix, then u,
+        # orders strata as (z, x) tuples sort and keeps cell order in sums.
+        prefix = np.column_stack([s.z[:, : t - 1], s.x[:, : t - 1].reshape(n, (t - 1) * w)])
+        order = np.lexsort([s.u, *prefix.T[::-1]])
+        rows = prefix[order]
+        starts = np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)]
+        group, k = 2 * (np.cumsum(starts) - 1) + s.u[order], 2 * int(starts.sum())
+        joint = np.bincount(group, s.prob[order], k).reshape(-1, 2)
+        for row, masses in zip(rows[starts].tolist(), joint.tolist()):
+            z = tuple(row[: t - 1])
+            x = tuple(tuple(row[i : i + w]) for i in range(t - 1, len(row), w))
+            total, contrast = masses[0] + masses[1], 0.0
+            for u, pu in enumerate(masses):
+                if pu > 0.0:
+                    forced = [forced_value(u, t, z + (arm,), x) for arm in (0, 1)]
+                    contrast += (pu / total) * (forced[1] - forced[0])
             effects[StratumKey(z + (1,), x)] = contrast
     return effects
 
@@ -311,17 +312,10 @@ def make_reference_fixture() -> Dataset:
     return _exact_dataset(expanded, 2, 1, "r{:03d}")
 
 
-def _history_arrays(histories, horizon: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (z, x) record arrays of a list of (treatments, covariates) pairs."""
-    n = len(histories)
-    z = np.array([h[0] for h in histories], dtype=np.int64).reshape(n, horizon)
-    x = np.array([h[1] for h in histories], dtype=np.int64).reshape(n, horizon - 1, width)
-    return z, x
-
-
 def _exact_dataset(cells, horizon: int, width: int, id_format: str) -> Dataset:
     """Records repeating each cell's (z, x) once per value in its outcomes."""
-    z, x = _history_arrays([c[:2] for c in cells], horizon, width)
+    z = np.array([c[0] for c in cells], dtype=np.int64).reshape(len(cells), horizon)
+    x = np.array([c[1] for c in cells], dtype=np.int64).reshape(len(cells), horizon - 1, width)
     counts = [len(values) for _, _, values in cells]
     y = np.concatenate([np.asarray(values, dtype=float) for _, _, values in cells])
     ids = [id_format.format(i + 1) for i in range(len(y))]

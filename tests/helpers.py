@@ -33,7 +33,6 @@ from seqeffects import (
     StratumKey,
     UsageError,
     downstream_weighted_sum,
-    enumerate_support,
     point_effect_targets,
 )
 from seqeffects.dataset import _parse_header
@@ -42,8 +41,8 @@ from seqeffects.exprlang import compile_expr
 from seqeffects.patterns import PatternGroup, PatternSpec, _downstream_loads, _unidentified
 from seqeffects.simulator import (
     _assignment_prob,
-    _history_arrays,
     _kernel_dist,
+    _sample_ids,
     _spread_offsets,
 )
 from seqeffects.tables import TableNode, sort_histories
@@ -116,6 +115,14 @@ def complete_histories(horizon, covariate_width, levels=2):
             cells = list(itertools.product((0, 1), repeat=covariate_width))
             histories = [(zs, xs + (vec,)) for zs, xs in histories for vec in cells]
     return histories
+
+
+def _history_arrays(histories, horizon, width):
+    """The (z, x) record arrays of a list of (treatments, covariates) pairs."""
+    n = len(histories)
+    z = np.array([h[0] for h in histories], dtype=np.int64).reshape(n, horizon)
+    x = np.array([h[1] for h in histories], dtype=np.int64).reshape(n, horizon - 1, width)
+    return z, x
 
 
 def law_table(horizon, width, rows):
@@ -200,7 +207,7 @@ def merge_law_rows_reference(rows):
 def population_table_reference(dgp):
     """A law's exact table merged history by history, then built one key
     at a time: the `population_table` that weighted records replaced."""
-    rows = [(c.treatments, c.covariates, c.prob, c.mean) for c in enumerate_support(dgp)]
+    rows = [cell[1:] for cell in enumerate_support_reference(dgp)]
     return table_from_entries_reference(
         dgp.horizon, dgp.covariate_width, merge_law_rows_reference(rows)
     )
@@ -1212,6 +1219,88 @@ def causal_net_effects_reference(dgp):
                         nxt = advanced.setdefault((z + (zt,), x + (vec,)), {})
                         nxt[u] = nxt.get(u, 0.0) + pu * pz * pv
         strata = advanced
+    return effects
+
+
+def enumerate_support_reference(dgp):
+    """A law's support as one (u, treatments, covariates, prob, mean) tuple
+    per cell, from the depth-first walk that the support columns replaced."""
+    if dgp.latent_prob > 0.0:
+        classes = [(0, 1.0 - dgp.latent_prob), (1, dgp.latent_prob)]
+    else:
+        classes = [(0, 1.0)]
+    cells = []
+
+    def walk(u, t, z, x, prob):
+        p1 = _assignment_prob(dgp, t, z, x, u)
+        for zt, pz in ((0, 1.0 - p1), (1, p1)):
+            z2 = z + (zt,)
+            if t == dgp.horizon:
+                mean = float(dgp.outcome_mean(z2, x, u))
+                assert math.isfinite(mean)
+                cells.append((u, z2, x, prob * pz, mean))
+                continue
+            for vec, pv in _kernel_dist(dgp, t, z2, x, u):
+                walk(u, t + 1, z2, x + (vec,), prob * pz * pv)
+
+    for u, w in classes:
+        walk(u, 1, (), (), w)
+    return cells
+
+
+def simulate_reference(dgp, n, seed):
+    """`simulate` as a loop over every support cell, empty ones included."""
+    cells = enumerate_support_reference(dgp)
+    probs = np.array([c[3] for c in cells])
+    probs = probs / probs.sum()
+    rng = np.random.default_rng(seed)
+    counts = rng.multinomial(n, probs)
+    T, w = dgp.horizon, dgp.covariate_width
+    z = np.empty((n, T), dtype=np.int64)
+    x = np.empty((n, T - 1, w), dtype=np.int64)
+    y = np.empty(n)
+    pos = 0
+    for (_, treatments, covariates, _, mean), count in zip(cells, counts):
+        if count == 0:
+            continue
+        z[pos : pos + count] = treatments
+        if T > 1:
+            x[pos : pos + count] = covariates
+        y[pos : pos + count] = mean
+        if dgp.sigma > 0:
+            y[pos : pos + count] += dgp.sigma * rng.standard_normal(count)
+        pos += count
+    perm = rng.permutation(n)
+    return Dataset(z[perm], x[perm], y[perm], _sample_ids(n))
+
+
+def causal_net_effects_support_reference(dgp):
+    """The truth with each stratum's joint law with the latent class
+    summed from the support cells into a dict, one cell at a time."""
+    T = dgp.horizon
+
+    def forced_value(u, t, z, x):
+        if t == T:
+            return float(dgp.outcome_mean(z, x, u))
+        total = 0.0
+        for vec, pv in _kernel_dist(dgp, t, z, x, u):
+            total += pv * forced_value(u, t + 1, z + (0,), x + (vec,))
+        return total
+
+    cells = enumerate_support_reference(dgp)
+    effects = {}
+    for t in range(1, T + 1):
+        strata = {}
+        for u, treatments, covariates, prob, _ in cells:
+            joint = strata.setdefault((treatments[: t - 1], covariates[: t - 1]), {})
+            joint[u] = joint.get(u, 0.0) + prob
+        for (z, x), joint in sorted(strata.items()):
+            total = sum(joint.values())
+            contrast = 0.0
+            for u, pu in joint.items():
+                forced = [forced_value(u, t, z + (arm,), x) for arm in (0, 1)]
+                contrast += (pu / total) * (forced[1] - forced[0])
+            effects[StratumKey(z + (1,), x)] = contrast
     return effects
 
 

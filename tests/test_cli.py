@@ -314,16 +314,16 @@ def test_a_weighted_coefficient_that_overflows_writes_only_the_error(
 @pytest.mark.parametrize(
     "term, error",
     [
-        # Squared, the term's singular value underflows to 0.
+        # Scaled back from the unit-norm basis, the term's variance overflows.
         (
             "term tiny: 1e-170 * z[t-1]",
             "error: the variance of parameter 'tiny' is not finite (inf): "
             "its scale is too far from the other parameters'",
         ),
-        # Beside the term's, the groups' singular values are lost.
+        # Scaled back from the unit-norm basis, the term's variance underflows.
         (
             "term w: 1e160 * z[t-1]",
-            "error: the variance of parameter 'w' is not finite (nan): "
+            "error: the variance of parameter 'w' underflows (0.0): "
             "its scale is too far from the other parameters'",
         ),
     ],

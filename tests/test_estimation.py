@@ -725,19 +725,45 @@ def test_discovery_rejects_a_level_outside_the_unit_interval(dref, alpha):
 
 
 @pytest.mark.parametrize(
-    "term, name",
-    [("tiny: 1e-170 * z[t-1]", "tiny"), ("w: 1e160 * z[t-1]", "w")],
+    "term, message",
+    [
+        ("tiny: 1e-170 * z[t-1]", "the variance of parameter 'tiny' is not finite"),
+        ("w: 1e160 * z[t-1]", "the variance of parameter 'w' underflows"),
+    ],
     ids=["tiny-term", "huge-term"],
 )
-def test_a_covariance_that_overflows_is_refused(term, name):
+def test_a_covariance_that_overflows_is_refused(term, message):
     d = simulate(make_markov_dgp(3), 2000, 1)
     spec = parse_pattern(
         f"group a: when t == 1\ngroup b: when t == 2\ngroup c: when t == 3\nterm {term}\n"
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(PatternError, match=f"the variance of parameter '{name}' is not finite"):
+        with pytest.raises(PatternError, match=message):
             fit_net_effects(spec, d, VarianceMode.known(1.0))
+
+
+def test_a_term_scale_far_from_the_groups_does_not_move_their_estimates():
+    # Only the unit-norm rank test finds these fits full rank; the solve
+    # must run in that basis too, not in the raw one.
+    d = simulate(make_markov_dgp(3), 2000, 1)
+
+    def fit(scale):
+        spec = parse_pattern(
+            "group a: when t == 1\ngroup b: when t == 2\ngroup c: when t == 3\n"
+            f"term w: {scale} * z[t-1]\n"
+        )
+        return fit_net_effects(spec, d, VarianceMode.known(1.0))
+
+    base = fit("1e3")
+    for scale in ["1e-150", "1e-100", "1e10", "1e15", "1e16", "1e17", "1e18", "1e100", "1e150"]:
+        f = fit(scale)
+        np.testing.assert_allclose(f.params[:3], base.params[:3], rtol=1e-12, err_msg=scale)
+        np.testing.assert_allclose(
+            f.covariance[:3, :3], base.covariance[:3, :3], rtol=1e-10, err_msg=scale
+        )
+        w = float(scale) / 1e3
+        assert f.params[3] * w == pytest.approx(base.params[3], rel=1e-10)
 
 
 @pytest.mark.parametrize("alpha", [1e-300, 2.0**-53])

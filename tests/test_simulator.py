@@ -1,19 +1,27 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    assert_close_trie,
+    assert_same_trie,
     causal_net_effects_reference,
+    causal_net_effects_support_reference,
+    enumerate_support_reference,
+    population_table_reference,
     rule_files,
     dataset_from_table_reference,
     law_table,
     reference_fixture_reference,
+    simulate_reference,
     small_fixture_reference,
 )
 from seqeffects import (
     DgpError,
+    DgpSpec,
     StratumKey,
     causal_net_effects,
     compute_net_effects,
@@ -62,16 +70,56 @@ def test_latent_class_biases_the_observed_contrast():
 
 
 def test_support_enumeration_masses_sum_to_one():
-    dgp = make_pattern_dgp()
-    cells = enumerate_support(dgp)
-    assert sum(c.prob for c in cells) == pytest.approx(1.0)
+    support = enumerate_support(make_pattern_dgp())
+    assert support.prob.sum() == pytest.approx(1.0)
     # full binary support: 2 * 2 * 2 * 2 * 2 histories over three periods
-    assert len(cells) == 32
+    assert support.z.shape == (32, 3) and support.x.shape == (32, 2, 1)
+    assert support.u.shape == support.prob.shape == support.mean.shape == (32,)
+
+
+def test_the_support_columns_are_read_only():
+    support = enumerate_support(make_pattern_dgp())
+    for column in support:
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0
 
 
 def test_assignment_probabilities_must_be_interior():
     with pytest.raises(DgpError, match="not strictly between"):
         population_table(parse_dgp("horizon: 1\nassign: 1.0\neffect: 1\n"))
+
+
+def a_law(assignment=lambda t, z, x, u: 0.5, kernel=lambda t, z, x, u: {(0,): 0.5, (1,): 0.5}):
+    return DgpSpec(2, assignment, kernel, lambda z, x, u: float(sum(z)))
+
+
+@pytest.mark.parametrize("half", [np.float32(0.5), np.float64(0.5), Fraction(1, 2), 0.5])
+def test_an_assignment_may_return_any_real_number(half):
+    support = enumerate_support(a_law(lambda t, z, x, u: half))
+    assert support.prob.tolist() == [0.125] * 8
+
+
+@pytest.mark.parametrize(
+    "value, name", [("0.5", "str"), (None, "NoneType"), (0.5j, "complex")]
+)
+def test_an_assignment_that_is_not_a_real_number_is_named_by_its_type(value, name):
+    with pytest.raises(DgpError) as info:
+        enumerate_support(a_law(lambda t, z, x, u: value))
+    assert str(info.value) == (
+        f"assignment probability {value!r} at time 1 given z=() x=() u=0 "
+        f"is a {name}, not a real number"
+    )
+
+
+def test_a_covariate_vector_of_another_width_is_named():
+    with pytest.raises(DgpError, match=r"^covariate value \(0, 1\) at time 1 does not fit width 1$"):
+        enumerate_support(a_law(kernel=lambda t, z, x, u: {(0, 1): 1.0}))
+
+
+def test_a_negative_covariate_component_gets_its_own_message():
+    with pytest.raises(DgpError) as info:
+        enumerate_support(a_law(kernel=lambda t, z, x, u: {(-1,): 1.0}))
+    assert str(info.value) == "covariate value (-1,) at time 1 has a negative component"
 
 
 def test_covariate_probabilities_must_be_probabilities():
@@ -308,4 +356,59 @@ def test_a_rule_file_with_two_bad_expressions_reports_the_first():
 def test_latent_prob_may_follow_the_rules_that_read_u():
     before = parse_dgp("horizon: 1\nlatent prob: 0.5\nassign: 0.3 + 0.4 * u\neffect: 1\n")
     after = parse_dgp("horizon: 1\nassign: 0.3 + 0.4 * u\neffect: 1\nlatent prob: 0.5\n")
-    assert enumerate_support(before) == enumerate_support(after)
+    assert_same_support(enumerate_support(before), enumerate_support_reference(after))
+    assert_same_support(enumerate_support(after), enumerate_support_reference(before))
+
+
+def assert_same_support(support, cells):
+    """The support columns hold the reference walk's cells, bit for bit,
+    in its order."""
+    n = len(cells)
+    u, zs, xs, probs, means = zip(*cells)
+    T, w = support.z.shape[1], support.x.shape[2]
+    expected = (
+        np.array(u, dtype=np.int64),
+        np.array(zs, dtype=np.int64).reshape(n, T),
+        np.array(xs, dtype=np.int64).reshape(n, T - 1, w),
+        np.array(probs),
+        np.array(means),
+    )
+    for column, want in zip(support, expected):
+        assert column.dtype == want.dtype and column.shape == want.shape
+        assert column.tobytes() == want.tobytes()
+
+
+FACTORIES = [
+    make_pattern_dgp,
+    make_confounded_dgp,
+    make_sequential_dgp,
+    lambda: make_markov_dgp(4),
+    lambda: make_dyadic_markov_dgp(3),
+    make_null_proxy_dgp,
+]
+
+
+@st.composite
+def laws(draw):
+    """A rule-file law, with or without a latent class, or a factory law."""
+    if draw(st.booleans()):
+        return parse_dgp(draw(rule_files())[0])
+    return draw(st.sampled_from(FACTORIES))()
+
+
+@settings(max_examples=60, deadline=None)
+@given(dgp=laws(), n=st.integers(1, 3000), seed=st.integers(0, 2**32))
+def test_every_support_consumer_matches_the_per_cell_code(dgp, n, seed):
+    cells = enumerate_support_reference(dgp)
+    assert_same_support(enumerate_support(dgp), cells)
+    assert_same_dataset(simulate(dgp, n, seed), simulate_reference(dgp, n, seed))
+    truth, reference = causal_net_effects(dgp), causal_net_effects_support_reference(dgp)
+    assert list(truth) == list(reference)
+    assert [v.hex() for v in truth.values()] == [v.hex() for v in reference.values()]
+    # Bit for bit against the records the tuples made, and to rounding
+    # against the table merged history by history.
+    table = population_table(dgp)
+    assert_same_trie(
+        table.root, law_table(dgp.horizon, dgp.covariate_width, [c[1:] for c in cells]).root
+    )
+    assert_close_trie(table.root, population_table_reference(dgp).root)
