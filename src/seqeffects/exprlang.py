@@ -13,7 +13,9 @@ the x{s}_{i} column labels.
 
 `CompiledExpr.eval_arrays` evaluates an expression once over many
 evaluation points that share t and T, with views whose lookups return
-columns. It gives each point the value `eval` would, bit for bit, or
+columns. It walks the tree that `compile_expr` parsed and validated,
+while a single point runs the code CPython compiled from the same text.
+The walk gives each point the value `eval` would, bit for bit, or
 raises: a PatternError where a lookup fails, and `InexactArrays` where
 array arithmetic could differ from Python's, so that the caller can
 evaluate those points one at a time.
@@ -22,9 +24,8 @@ evaluate those points one at a time.
 from __future__ import annotations
 
 import ast
-import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import CodeType
 from typing import Callable, Sequence
@@ -41,13 +42,20 @@ _CMP_OPS = (ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 
 @dataclass(frozen=True)
 class CompiledExpr:
-    """A validated expression, ready to evaluate against a history env."""
+    """A validated expression, ready to evaluate against a history env.
+
+    Its array form is the same expression with no code: `eval` then walks
+    `tree` over columns.
+    """
 
     text: str
-    code: CodeType
+    code: CodeType | None
     uses: frozenset[str]
+    tree: ast.expr = field(compare=False, repr=False)
 
     def eval(self, env: dict) -> object:
+        if self.code is None:
+            return _evaluate(self.tree, env)
         return eval(self.code, {"__builtins__": {}}, env)
 
     def eval_number(self, env: dict) -> float:
@@ -66,13 +74,11 @@ class CompiledExpr:
         an array with one entry per point. `env` holds t and T as numbers
         and views over columns; raises PatternError or `InexactArrays`
         where a point must be evaluated alone (see the module docstring)."""
-        return self._arrays.eval({**env, **_ARRAY_OPS})
+        return self._arrays.eval(env)
 
     @cached_property
     def _arrays(self) -> "CompiledExpr":
-        tree = _ArrayForm().visit(ast.parse(self.text, mode="eval"))
-        code = compile(ast.fix_missing_locations(tree), "<expr>", "eval")
-        return CompiledExpr(self.text, code, self.uses)
+        return replace(self, code=None)
 
 
 def compile_expr(
@@ -92,7 +98,7 @@ def compile_expr(
     uses: set[str] = set()
     _validate(tree.body, text, frozenset(allowed_names), uses, error_cls)
     code = compile(tree, "<expr>", "eval")
-    return CompiledExpr(text, code, frozenset(uses))
+    return CompiledExpr(text, code, frozenset(uses), tree.body)
 
 
 def _validate(node, text, allowed, uses, error_cls) -> None:
@@ -225,70 +231,6 @@ class InexactArrays(ArithmeticError):
     """Array evaluation could differ from Python's for some point."""
 
 
-class _ArrayForm(ast.NodeTransformer):
-    """Rewrites a validated expression into calls of `_ARRAY_OPS`.
-
-    and/or and chained comparisons keep Python's order and laziness: a
-    later operand is evaluated only when some point needs it, through a
-    conditional expression over a temporary name.
-    """
-
-    _CALLS = {
-        ast.Add: "_add", ast.Sub: "_sub", ast.Mult: "_mul",
-        ast.Not: "_not", ast.USub: "_neg", ast.UAdd: "_pos",
-        ast.Eq: "_eq", ast.NotEq: "_ne", ast.Lt: "_lt",
-        ast.LtE: "_le", ast.Gt: "_gt", ast.GtE: "_ge",
-    }
-
-    def __init__(self):
-        self._names = (f"_{i}" for i in itertools.count())
-
-    @staticmethod
-    def _call(name, *args):
-        return ast.Call(ast.Name(name, ast.Load()), list(args), [])
-
-    def _join(self, left, right, stop, join):
-        """`left` where `stop(left)` holds, else `join(left, right)`."""
-        name = next(self._names)
-        held = ast.NamedExpr(ast.Name(name, ast.Store()), left)
-        return ast.IfExp(
-            self._call(stop, held),
-            ast.Name(name, ast.Load()),
-            self._call(join, ast.Name(name, ast.Load()), right),
-        )
-
-    def visit_BoolOp(self, node):
-        stop, join = ("_stop_and", "_and") if isinstance(node.op, ast.And) else ("_stop_or", "_or")
-        values = [self.visit(v) for v in node.values]
-        result = values[0]
-        for value in values[1:]:
-            result = self._join(result, value, stop, join)
-        return result
-
-    def visit_UnaryOp(self, node):
-        return self._call(self._CALLS[type(node.op)], self.visit(node.operand))
-
-    def visit_BinOp(self, node):
-        return self._call(
-            self._CALLS[type(node.op)], self.visit(node.left), self.visit(node.right)
-        )
-
-    def visit_Compare(self, node):
-        left = self.visit(node.left)
-        result = None
-        last = len(node.ops) - 1
-        for i, (op, comparator) in enumerate(zip(node.ops, node.comparators)):
-            right = self.visit(comparator)
-            if i < last:  # the next comparison reads this operand again
-                name = next(self._names)
-                right = ast.NamedExpr(ast.Name(name, ast.Store()), right)
-            test = self._call(self._CALLS[type(op)], left, right)
-            result = test if result is None else self._join(result, test, "_stop_and", "_and")
-            if i < last:
-                left = ast.Name(name, ast.Load())
-        return result
-
-
 def _integral(v) -> bool:
     if isinstance(v, np.ndarray):
         return v.dtype.kind in "bi"
@@ -376,21 +318,52 @@ def _stop_or(a) -> bool:
     return bool(_truth(a).all() if isinstance(a, np.ndarray) else a)
 
 
-_ARRAY_OPS = {
-    "_add": _arith(operator.add),
-    "_sub": _arith(operator.sub),
-    "_mul": _arith(operator.mul),
-    "_eq": _compare(operator.eq),
-    "_ne": _compare(operator.ne),
-    "_lt": _compare(operator.lt),
-    "_le": _compare(operator.le),
-    "_gt": _compare(operator.gt),
-    "_ge": _compare(operator.ge),
-    "_not": lambda a: np.logical_not(a) if isinstance(a, np.ndarray) else not a,
-    "_neg": lambda a: -_operand(a) if isinstance(a, np.ndarray) else -a,
-    "_pos": lambda a: _operand(a) if isinstance(a, np.ndarray) else +a,
-    "_and": _and,
-    "_or": _or,
-    "_stop_and": _stop_and,
-    "_stop_or": _stop_or,
+_OPS = {
+    ast.Add: _arith(operator.add),
+    ast.Sub: _arith(operator.sub),
+    ast.Mult: _arith(operator.mul),
+    ast.Eq: _compare(operator.eq),
+    ast.NotEq: _compare(operator.ne),
+    ast.Lt: _compare(operator.lt),
+    ast.LtE: _compare(operator.le),
+    ast.Gt: _compare(operator.gt),
+    ast.GtE: _compare(operator.ge),
+    ast.Not: lambda a: np.logical_not(a) if isinstance(a, np.ndarray) else not a,
+    ast.USub: lambda a: -_operand(a) if isinstance(a, np.ndarray) else -a,
+    ast.UAdd: lambda a: _operand(a) if isinstance(a, np.ndarray) else +a,
 }
+
+
+def _evaluate(node: ast.expr, env: dict) -> object:
+    """The value of a validated tree, its operands taken in Python's order.
+
+    and/or and chained comparisons keep Python's laziness: a later operand
+    is evaluated only when some point still needs it.
+    """
+    if isinstance(node, ast.Constant):
+        return node.value
+    if isinstance(node, ast.Name):
+        return env[node.id]
+    if isinstance(node, ast.Subscript):
+        return _evaluate(node.value, env)[_evaluate(node.slice, env)]
+    if isinstance(node, ast.BinOp):
+        return _OPS[type(node.op)](_evaluate(node.left, env), _evaluate(node.right, env))
+    if isinstance(node, ast.UnaryOp):
+        return _OPS[type(node.op)](_evaluate(node.operand, env))
+    if isinstance(node, ast.BoolOp):
+        stop, join = (_stop_and, _and) if isinstance(node.op, ast.And) else (_stop_or, _or)
+        result = _evaluate(node.values[0], env)
+        for value in node.values[1:]:
+            if stop(result):
+                break
+            result = join(result, _evaluate(value, env))
+        return result
+    left, result = _evaluate(node.left, env), None  # a Compare
+    for op, comparator in zip(node.ops, node.comparators):
+        if result is not None and _stop_and(result):
+            break
+        right = _evaluate(comparator, env)
+        test = _OPS[type(op)](left, right)
+        result = test if result is None else _and(result, test)
+        left = right
+    return result

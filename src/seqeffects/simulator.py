@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from numbers import Real
+from numbers import Integral, Real
 from dataclasses import dataclass, field
 from itertools import islice, product
 from typing import Callable, NamedTuple
@@ -42,6 +42,7 @@ CovariateKernel = Callable[
 OutcomeMean = Callable[[tuple[int, ...], tuple[Covariate, ...], int], float]
 
 _KERNEL_SUM_TOL = 1e-9
+_INTS = frozenset({int})
 
 
 @dataclass
@@ -92,28 +93,42 @@ class Support(NamedTuple):
 
 def _assignment_prob(dgp: DgpSpec, t, z, x, u) -> float:
     p = dgp.assignment(t, z, x, u)
-    if isinstance(p, Real) and 0.0 < p < 1.0:
-        return float(p)
-    why = "is not strictly between 0 and 1"
-    if not isinstance(p, Real):
-        why = f"is a {type(p).__name__}, not a real number"
-    raise DgpError(f"assignment probability {p!r} at time {t} given z={z} x={x} u={u} {why}")
+    return _real(p, "assignment probability", t, z, x, u, interior=True)
+
+
+def _real(value, what: str, t, z, x, u, interior: bool = False) -> float:
+    """value as a float when it is a finite real number (strictly between
+    0 and 1 when `interior`), else a DgpError naming it and its history."""
+    real = type(value) is float or isinstance(value, Real)  # skips a slow ABC check
+    if real and (0.0 < value < 1.0 if interior else math.isfinite(value)):
+        return float(value)
+    if not real:
+        why = f"is a {type(value).__name__}, not a real number"
+    else:
+        why = "is not strictly between 0 and 1" if interior else "is not finite"
+    raise DgpError(f"{what} {value!r} at time {t} given z={z} x={x} u={u} {why}")
 
 
 def _kernel_dist(dgp: DgpSpec, t, z, x, u) -> list[tuple[Covariate, float]]:
     dist = dgp.covariate_kernel(t, z, x, u)
     total, out, width = 0.0, [], dgp.covariate_width
     for vec, p in sorted(dist.items()):
-        vec = tuple(int(v) for v in vec)
+        if not _INTS.issuperset(map(type, vec)):  # plain ints need no check or copy
+            if not all(isinstance(v, Integral) for v in vec):
+                raise DgpError(
+                    f"covariate value {vec!r} at time {t} has a component that is not an integer"
+                )
+            vec = tuple(map(int, vec))
         if len(vec) != width:
             raise DgpError(f"covariate value {vec} at time {t} does not fit width {width}")
         if min(vec) < 0:
             raise DgpError(f"covariate value {vec} at time {t} has a negative component")
+        p = _real(p, "covariate probability", t, z, x, u)
         if p < 0:
             raise DgpError(f"negative covariate probability at time {t}")
         total += p
         if p > 0:
-            out.append((vec, float(p)))
+            out.append((vec, p))
     if abs(total - 1.0) > _KERNEL_SUM_TOL:
         raise DgpError(f"covariate kernel at time {t} given z={z} x={x} u={u} sums to {total!r}")
     return out
@@ -139,12 +154,9 @@ def enumerate_support(dgp: DgpSpec) -> Support:
         for zt, pz in ((0, 1.0 - p1), (1, p1)):
             z2 = z + (zt,)
             if t == T:
-                mean = float(dgp.outcome_mean(z2, x, u))
-                if not math.isfinite(mean):
-                    raise DgpError(f"outcome mean is not finite at z={z2} x={x} u={u}")
                 us.append(u)
                 probs.append(prob * pz)
-                means.append(mean)
+                means.append(_real(dgp.outcome_mean(z2, x, u), "outcome mean", T, z2, x, u))
                 zs.extend(z2)
                 xs.extend(flat_x)
                 continue

@@ -122,6 +122,51 @@ def test_a_negative_covariate_component_gets_its_own_message():
     assert str(info.value) == "covariate value (-1,) at time 1 has a negative component"
 
 
+def test_a_fractional_covariate_component_is_named_not_truncated():
+    with pytest.raises(DgpError) as info:
+        enumerate_support(a_law(kernel=lambda t, z, x, u: {(0.2,): 0.5, (0.4,): 0.5}))
+    assert str(info.value) == (
+        "covariate value (0.2,) at time 1 has a component that is not an integer"
+    )
+
+
+@pytest.mark.parametrize("numpy_int", [np.int64, np.uint8])
+def test_a_covariate_component_may_be_any_integral_number(numpy_int):
+    kernel = lambda t, z, x, u: {(numpy_int(0),): 0.5, (numpy_int(1),): 0.5}
+    assert enumerate_support(a_law(kernel=kernel)).x.tolist() == (
+        enumerate_support(a_law()).x.tolist()
+    )
+
+
+@pytest.mark.parametrize(
+    "value, why",
+    [(math.nan, "is not finite"), (math.inf, "is not finite"), ("0.5", "is a str, not a real number")],
+)
+def test_a_covariate_probability_that_is_not_a_finite_real_is_named(value, why):
+    # Beside a branch of mass 1, a NaN once left the sum NaN, passed the
+    # sum check and was dropped from the support.
+    law = a_law(kernel=lambda t, z, x, u: {(0,): value, (1,): 1.0})
+    for consumer in (enumerate_support, lambda dgp: simulate(dgp, 10, 0)):
+        with pytest.raises(DgpError) as info:
+            consumer(law)
+        assert str(info.value) == (
+            f"covariate probability {value!r} at time 1 given z=(0,) x=() u=0 {why}"
+        )
+
+
+@pytest.mark.parametrize(
+    "value, why", [("3", "is a str, not a real number"), (math.nan, "is not finite")]
+)
+def test_an_outcome_mean_that_is_not_a_finite_real_is_named(value, why):
+    law = DgpSpec(2, lambda t, z, x, u: 0.5, lambda t, z, x, u: {(0,): 1.0}, lambda z, x, u: value)
+    for consumer in (enumerate_support, causal_net_effects):
+        with pytest.raises(DgpError) as info:
+            consumer(law)
+        assert str(info.value) == (
+            f"outcome mean {value!r} at time 2 given z=(0, 0) x=((0,),) u=0 {why}"
+        )
+
+
 def test_covariate_probabilities_must_be_probabilities():
     bad = parse_dgp("horizon: 2\nassign: 0.5\ncovariate: 1.5\neffect: 1\n")
     with pytest.raises(DgpError, match="outside"):
