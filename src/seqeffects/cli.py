@@ -40,6 +40,7 @@ from .errors import (
     UsageError,
 )
 from .estimation import (
+    _Records,
     discover_pattern,
     fit_net_effects,
     pooled_outcome_variance,
@@ -69,6 +70,19 @@ def _floatstr(v, _repr=float.__repr__, _finite=math.isfinite) -> str:
     return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
 
 
+def _number(v) -> str:
+    return "null" if v is None else _floatstr(v)
+
+
+def _finite(column, _isfinite=math.isfinite) -> bool:
+    """Whether every entry is an int or a finite float, which `%r` writes
+    as JSON does."""
+    try:
+        return all(map(_isfinite, column))
+    except TypeError:  # a None
+        return False
+
+
 def _report_array(v) -> bool:
     return isinstance(v, np.ndarray) and v.dtype.kind in _ARRAY_KINDS
 
@@ -95,13 +109,19 @@ class _ReportEncoder(JSONEncoder):
     separator carries the newline and indent of that depth. An ndarray is
     listed one leading-axis row at a time, so a matrix never exists as
     one nested list of Python floats, and each container below depth 1
-    is joined into one string when it closes. Without the C encoder it is
-    the stock encoder, which lists an ndarray through `default`.
+    is joined into one string when it closes. A fit's record list, held
+    as columns (`estimation._Records`), is written from its columns: each
+    record is one `%` of a template fixed for its depth, and the list is
+    one string. Without the C encoder it is the stock encoder, which
+    lists an ndarray and writes a record list as its dicts through
+    `default`.
     """
 
     def default(self, o):
         if _report_array(o):
             return o.tolist()
+        if isinstance(o, _Records):
+            return o.dicts()
         return super().default(o)
 
     def encode(self, o):
@@ -147,6 +167,8 @@ class _ReportEncoder(JSONEncoder):
                     append("[]")
                 else:  # an ndarray iterates over its rows
                     members(v, level, False)
+            elif isinstance(v, _Records):
+                records(v, level)
             else:
                 raise TypeError(
                     f"Object of type {v.__class__.__name__} is not JSON serializable"
@@ -190,8 +212,55 @@ class _ReportEncoder(JSONEncoder):
             if level >= 2:  # a few large strings, not many small ones
                 out[start:] = ["".join(out[start:])]
 
+        def text(v):
+            return "null" if v is None else string(v)
+
+        def records(r, level):
+            # One % of a fixed template per record: the template holds the
+            # field names and the indents of this depth. A number column
+            # takes %r when every entry is an int or a finite float, and
+            # otherwise the JSON text of each entry.
+            if not len(r):
+                append("[]")
+                return
+            line = "\n" + _INDENT * (level + 1)
+            entry = ",\n" + _INDENT * (level + 3)
+            fields, columns = [], []
+
+            def number(column):
+                if _finite(column):
+                    columns.append(column)
+                    return "%r"
+                columns.append(map(_number, column))
+                return "%s"
+
+            for name, kind, column in r.fields:
+                if kind == "label":
+                    columns.append(column)
+                    slot = '"%s"'
+                elif kind == "text":
+                    columns.append(map(text, column))
+                    slot = "%s"
+                elif kind == "numbers":
+                    slots = entry.join(map(number, column))
+                    slot = "[" + entry[1:] + slots + line + _INDENT + "]"
+                else:
+                    slot = number(column)
+                fields.append(string(name) + ": " + slot)
+            sep = "," + line
+            template = "{" + line + _INDENT + (sep + _INDENT).join(fields) + line + "}"
+            append("[" + line)
+            # One string for the list, not one per record, when the
+            # report's fragments are joined.
+            append(sep.join([template % row for row in zip(*columns)]))
+            append("\n" + _INDENT * level + "]")
+
         value(o, 0)
-        return "".join(out)
+        report = "".join(out)
+        # The nested functions refer to each other, so `out` would live
+        # on with them until the cycle collector runs.
+        out.clear()
+        return report
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -259,7 +328,7 @@ def cmd_estimate(args) -> int:
             "data": args.data,
             "n_records": d.n_records,
             "horizon": d.horizon,
-            "fit": fit.to_dict(),
+            "fit": fit._report(),
         },
         args.out,
     )

@@ -59,6 +59,38 @@ def _num(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
+class _Records:
+    """A list of flat records held as columns. `fields` holds one (name,
+    kind, column) triple per field, in record order; record i takes entry
+    i of every column. The kind says what a column holds:
+
+    - "label": str labels built from integer codes by fixed templates,
+      so no JSON string escape ever applies to them;
+    - "number": int, float or None;
+    - "numbers": one list of floats per record, held as one column per
+      list entry;
+    - "text": str or None.
+
+    `dicts()` gives the records as plain dicts.
+    """
+
+    __slots__ = ("fields",)
+
+    def __init__(self, *fields: tuple[str, str, list]):
+        self.fields = fields
+
+    def __len__(self) -> int:
+        return len(self.fields[0][2])
+
+    def dicts(self) -> list[dict]:
+        names = [name for name, _, _ in self.fields]
+        columns = [
+            map(list, zip(*column)) if kind == "numbers" else column
+            for _, kind, column in self.fields
+        ]
+        return [dict(zip(names, values)) for values in zip(*columns)]
+
+
 @dataclass
 class FittedNetEffect:
     """The pattern's net effect at arm `arm` of `period`; `key` is built
@@ -156,21 +188,31 @@ class NetEffectFit:
         return tuple([column[i] for i in order] for column in columns)
 
     def to_dict(self) -> dict:
-        system = self.system
-        labels, skipped_labels = system.keys.labels(), system.skipped.labels()
-        columns = {
-            "key": labels,
-            "time": system.times,
-            "estimate": system.estimates.tolist(),
-            "variance": [_num(v) for v in system.variances.tolist()],
+        return {
+            name: value.dicts() if isinstance(value, _Records) else value
+            for name, value in self._report().items()
         }
 
-        def records(index: np.ndarray, **more: list) -> list[dict]:
-            picked = {name: [c[i] for i in index.tolist()] for name, c in columns.items()}
-            picked.update(more)
-            return [dict(zip(picked, values)) for values in zip(*picked.values())]
+    def _report(self) -> dict:
+        """The tree of `to_dict`, with its four record lists held as
+        `_Records`: the CLI writes them from their columns."""
+        system = self.system
+        labels, skipped_labels = system.keys.labels(), system.skipped.labels()
 
-        rows = system.rows
+        def records(index: np.ndarray, *more: tuple) -> _Records:
+            index = index.tolist()
+            return _Records(
+                ("key", "label", [labels[i] for i in index]),
+                ("time", "number", [system.times[i] for i in index]),
+                ("estimate", "number", system.estimates[index].tolist()),
+                ("variance", "number", list(map(_num, system.variances[index].tolist()))),
+                *more,
+            )
+
+        rows, dropped = system.rows, system.dropped
+        keys, times, values, ses, observed, notes = self._fitted_net_effects(
+            labels + skipped_labels
+        )[2:]
         return {
             "schema_version": 1,
             "pattern": system.pattern.to_text(),
@@ -182,25 +224,27 @@ class NetEffectFit:
             "variance_mode": self.variance_mode.label(),
             "targets": records(
                 rows,
-                weight=system.weights[rows].tolist(),
-                coefficients=system.coefficients[rows].tolist(),
-                fitted=self.fitted.tolist(),
-                residual=self.residuals.tolist(),
-                standardized_residual=self.standardized_residuals.tolist(),
+                ("weight", "number", system.weights[rows].tolist()),
+                ("coefficients", "numbers", system.coefficients[rows].T.tolist()),
+                ("fitted", "number", self.fitted.tolist()),
+                ("residual", "number", self.residuals.tolist()),
+                ("standardized_residual", "number", self.standardized_residuals.tolist()),
             ),
             "dropped_targets": records(
-                system.dropped, note=[system.notes[i] for i in system.dropped.tolist()]
+                dropped, ("note", "text", [system.notes[i] for i in dropped.tolist()])
             ),
-            "skipped_strata": [
-                {"key": label, "reason": system.skipped.reason}
-                for label in skipped_labels
-            ],
-            "fitted_net_effects": [
-                {"key": k, "time": t, "value": v, "se": se, "observed_estimate": o, "note": n}
-                for k, t, v, se, o, n in zip(
-                    *self._fitted_net_effects(labels + skipped_labels)[2:]
-                )
-            ],
+            "skipped_strata": _Records(
+                ("key", "label", skipped_labels),
+                ("reason", "text", [system.skipped.reason] * len(skipped_labels)),
+            ),
+            "fitted_net_effects": _Records(
+                ("key", "label", keys),
+                ("time", "number", times),
+                ("value", "number", values),
+                ("se", "number", ses),
+                ("observed_estimate", "number", observed),
+                ("note", "text", notes),
+            ),
         }
 
     def to_json(self, **kwargs) -> str:

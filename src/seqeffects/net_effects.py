@@ -177,6 +177,18 @@ def decompose_point_effect(
         raise IncompletenessError(
             f"both arms of {key.parent_stratum().label()} are needed"
         )
+    return _decomposition(net, key, arm, control_key, control)
+
+
+def _decomposition(
+    net: NetEffectTable,
+    key: StratumKey,
+    arm: TableNode,
+    control_key: StratumKey,
+    control: TableNode,
+) -> float:
+    """`decompose_point_effect` of arm `key`, whose node is `arm`, with its
+    control's key and node given."""
     arm_load = arm.derived_mean - net.control_means[key]
     control_load = control.derived_mean - net.control_means[control_key]
     return net.effects[key] + arm_load - control_load
@@ -256,10 +268,12 @@ def verify_decomposition(table: MeanTable) -> DecompositionReport:
                 elif control in left_out:
                     skipped.append((akey, "control arm unobserved below its control"))
                 else:
-                    direct = table.mean(akey) - table.mean(pkey.with_treatment(0))
+                    ckey = pkey.with_treatment(0)
                     entries.append(
                         DecompositionEntry(
-                            akey, direct, decompose_point_effect(net, table, akey)
+                            akey,
+                            anode.mean - control.mean,
+                            _decomposition(net, akey, anode, ckey, control),
                         )
                     )
     return DecompositionReport(entries, _DECOMPOSITION_TOL, skipped)

@@ -1441,3 +1441,58 @@ def discover_pattern_reference(fit, alpha):
         "components": [[spec.groups[i].name for i in members] for members in ordered],
         "pattern": PatternSpec(tuple(groups), spec.terms).to_text(),
     }
+
+
+def fit_report_reference(fit):
+    """`NetEffectFit.to_dict()`, built one record at a time from each
+    target's key and `net_effect_estimates()`."""
+    system = fit.system
+
+    def finite(v):
+        return v if math.isfinite(v) else None
+
+    def target(i):
+        return {
+            "key": system.keys[i].label(),
+            "time": system.times[i],
+            "estimate": float(system.estimates[i]),
+            "variance": finite(float(system.variances[i])),
+        }
+
+    targets = [
+        {
+            **target(i),
+            "weight": float(system.weights[i]),
+            "coefficients": [float(c) for c in system.coefficients[i]],
+            "fitted": float(fit.fitted[j]),
+            "residual": float(fit.residuals[j]),
+            "standardized_residual": float(fit.standardized_residuals[j]),
+        }
+        for j, i in enumerate(system.rows.tolist())
+    ]
+    return {
+        "schema_version": 1,
+        "pattern": system.pattern.to_text(),
+        "param_names": list(fit.param_names),
+        "params": [float(p) for p in fit.params],
+        "covariance": [[float(c) for c in row] for row in fit.covariance],
+        "rank": fit.rank,
+        "markov": system.markov,
+        "variance_mode": fit.variance_mode.label(),
+        "targets": targets,
+        "dropped_targets": [
+            {**target(i), "note": system.notes[i]} for i in system.dropped.tolist()
+        ],
+        "skipped_strata": [{"key": key.label(), "reason": why} for key, why in system.skipped],
+        "fitted_net_effects": [
+            {
+                "key": f.key.label(),
+                "time": f.time,
+                "value": f.value,
+                "se": f.se,
+                "observed_estimate": f.observed_estimate,
+                "note": f.note,
+            }
+            for f in fit.net_effect_estimates()
+        ],
+    }

@@ -15,15 +15,21 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from helpers import fit_report_reference
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import seqeffects.cli as cli
 from seqeffects import (
+    Dataset,
+    SeqEffectsError,
+    VarianceMode,
+    fit_net_effects,
     make_markov_dgp,
     make_reference_fixture,
     parse_dgp,
+    parse_pattern,
     resampling_diagnostic,
     save_dataset,
     simulate,
@@ -227,6 +233,71 @@ def test_a_bare_string_or_scalar_is_the_stock_text():
         assert ours(obj) == stock(obj)
 
 
+# -- a fit's record lists are written from its columns ---------------------
+
+FIT_PATTERNS = [
+    "group a: when t == 1\ngroup b: when t >= 2\nterm c: z[t - 1] * 0.37 - x[t - 1][1]\n",
+    "group a: when z[t] == 1\ngroup b: when z[t] >= 2\nterm c: t\n",
+    "group g: when t >= 1\n",
+    # Covers no period-1 arm: with no control there, those arms get nulls.
+    "group late: when t >= 2\n",
+]
+# Entries planted in a fit's arrays, so every number column meets None,
+# NaN, infinities, -0.0 and extreme floats: NaN or infinite params and
+# covariances give NaN or infinite fitted values and SEs, and a non-finite
+# variance is written as null.
+PLANTED = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308])
+FIT_ARRAYS = ["params", "covariance", "fitted", "residuals", "standardized_residuals"]
+SYSTEM_ARRAYS = ["estimates", "variances", "weights", "coefficients"]
+
+
+@st.composite
+def fits(draw):
+    """Fits of random panels: both fit modes, known and estimated variances
+    (dropped targets with both notes), skipped arms that no group covers,
+    patterns with terms, and planted non-finite entries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    horizon, width = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    n, levels = draw(st.integers(6, 60)), draw(st.sampled_from([2, 3]))
+    z = rng.integers(0, levels, size=(n, horizon))
+    if draw(st.booleans()):
+        z[:, 0] = np.maximum(z[:, 0], 1)  # no control arm at period 1
+    x = rng.integers(0, 2, size=(n, horizon - 1, width))
+    # Few outcome values give arms with no spread.
+    y = rng.integers(0, draw(st.sampled_from([2, 1000])), size=n) * 0.75
+    d = Dataset(z, x, y, [f"r{i}" for i in range(n)])
+    spec = parse_pattern(draw(st.sampled_from(FIT_PATTERNS)))
+    mode = draw(st.sampled_from([VarianceMode.known(2.5), VarianceMode.estimated()]))
+    try:
+        fit = fit_net_effects(spec, d, mode, markov=draw(st.booleans()))
+    except SeqEffectsError:
+        assume(False)
+    owners = [(fit, name) for name in FIT_ARRAYS] + [(fit.system, n) for n in SYSTEM_ARRAYS]
+    for owner, i, value in draw(
+        st.lists(st.tuples(st.sampled_from(owners), st.integers(0, 10**6), PLANTED), max_size=4)
+    ):
+        array = getattr(*owner)
+        if array.size:
+            array.flat[i % array.size] = value
+    return fit
+
+
+@pytest.mark.parametrize("c_encoder", [True, False])
+@settings(max_examples=150, deadline=None)
+@given(fit=fits(), depth=st.integers(0, 2))
+def test_fit_records_are_the_stock_text_of_their_dicts(c_encoder, fit, depth):
+    with np.errstate(invalid="ignore"):  # planted NaNs meet the products
+        want = fit_report_reference(fit)
+        assert stock(fit.to_dict()) == stock(want)
+        tree = fit._report()
+    for _ in range(depth):  # the CLI writes the fit at depth 1
+        tree, want = {"fit": tree}, {"fit": want}
+    with pytest.MonkeyPatch.context() as mp:
+        if not c_encoder:
+            mp.setattr(cli, "c_make_encoder", None)
+        assert ours(tree) == stock(want)
+
+
 # -- every report the CLI writes is stock json.dumps(indent=2) text -------
 
 
@@ -331,4 +402,27 @@ def test_a_diagnose_report_costs_about_two_copies_of_its_text(tmp_path):
         tracemalloc.stop()
     size = out.stat().st_size
     assert out.read_text() == json.dumps({"resampling": json.loads(report.to_json())}, indent=2) + "\n"
+    assert peak <= 3 * size, f"peak {peak} B for a {size} B report"
+
+
+def test_an_estimate_report_costs_under_three_copies_of_its_text(tmp_path):
+    # The benchmark's estimate-full-t8 panel and pattern: a 2.7 MB report.
+    pattern = parse_pattern(
+        "group first: when t == 1\n"
+        "group mid: when t >= 2 and t <= 6\n"
+        "group tail: when t >= 7\n"
+        "term carry: z[t-1]\n"
+        "term cov: x[t-1][1]\n"
+    )
+    fit = fit_net_effects(pattern, simulate(make_markov_dgp(8), 5000, 1), VarianceMode.known(1.0))
+    assert len(fit.system.rows) > 2000
+    out = tmp_path / "estimate.json"
+    tracemalloc.start()
+    try:
+        _emit({"fit": fit._report()}, str(out))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert out.read_text() == json.dumps({"fit": fit.to_dict()}, indent=2) + "\n"
     assert peak <= 3 * size, f"peak {peak} B for a {size} B report"
